@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .hmm import gaussian_log_densities, log_params, posteriors, validate_sequence
-from .mixture import SparseMixtureModel, _check_node
+from .mixture import SparseMixtureModel, check_node
 
 
 @dataclass
@@ -44,7 +44,7 @@ class PosteriorModel:
 
 def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> PosteriorModel:
     """Compute the prefix posterior over components and end states."""
-    node = _check_node(model, node)
+    node = check_node(model, node)
     prefix = validate_sequence(prefix, model.dim)
     m_count = model.num_components
     s_count = model.num_states

@@ -17,7 +17,7 @@ ROW_SUM_TOL = 1e-9
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def _check_rows_normalized(arr: np.ndarray, name: str) -> None:
+def check_rows_normalized(arr: np.ndarray, name: str) -> None:
     if np.any(arr < 0.0):
         raise ValueError(f"{name} has negative entries")
     sums = arr.sum(axis=-1)
@@ -62,8 +62,8 @@ class GaussianHmm:
                           (self.means, "means"), (self.variances, "variances")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-        _check_rows_normalized(self.initial, "initial")
-        _check_rows_normalized(self.transition, "transition")
+        check_rows_normalized(self.initial, "initial")
+        check_rows_normalized(self.transition, "transition")
         if np.any(self.variances < VARIANCE_FLOOR):
             raise ValueError(f"variances must be >= {VARIANCE_FLOOR:g}")
 

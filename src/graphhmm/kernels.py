@@ -1,11 +1,8 @@
 """Log-space recursions for Gaussian-emission HMMs.
 
-The forward/backward/transition-posterior loops are sequential in the
-sequence length and dominate training time, so each kernel ships in two
-interchangeable forms: plain loops compiled with numba, and a vectorized
-numpy fallback. The numba path is the default when numba is importable;
-set ``GRAPHHMM_NO_NUMBA=1`` before import to force the numpy path.
-``benchmarks/bench_kernels.py`` compares the two.
+The forward/backward/transition-posterior recursions are sequential in the
+sequence length and dominate training time. Each is one vectorized numpy
+function that steps over time and works on all states at once.
 
 Conventions: a sequence of length T has hidden states at t = 0..T, and the
 state at t = 0 emits nothing. ``log_obs`` therefore has T rows (row t - 1
@@ -14,15 +11,12 @@ tables have T + 1 rows. Impossible events are exact ``-inf``, never a tiny
 epsilon, so structural zeros survive roundtrips.
 """
 
-import os
-
 import numpy as np
 
 _NEG_INF = -np.inf
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("GRAPHHMM_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+# There is no compiled kernel path; perfbench/run.py reports this flag in its environment block.
+NUMBA_ENABLED = False
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -35,63 +29,8 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.where(ok, shift + np.log(np.where(ok, s, 1.0)), _NEG_INF)
 
 
-def _forward_loops(log_pi, log_a, log_obs):
-    T, S = log_obs.shape
-    la = np.empty((T + 1, S))
-    for s in range(S):
-        la[0, s] = log_pi[s]
-    for t in range(1, T + 1):
-        for u in range(S):
-            mx = _NEG_INF
-            for s in range(S):
-                v = la[t - 1, s] + log_a[s, u]
-                if v > mx:
-                    mx = v
-            if mx == _NEG_INF:
-                la[t, u] = _NEG_INF
-            else:
-                acc = 0.0
-                for s in range(S):
-                    acc += np.exp(la[t - 1, s] + log_a[s, u] - mx)
-                la[t, u] = mx + np.log(acc) + log_obs[t - 1, u]
-    return la
-
-
-def _backward_loops(log_a, log_obs):
-    T, S = log_obs.shape
-    lb = np.empty((T + 1, S))
-    for s in range(S):
-        lb[T, s] = 0.0
-    for t in range(T - 1, -1, -1):
-        for s in range(S):
-            mx = _NEG_INF
-            for u in range(S):
-                v = log_a[s, u] + log_obs[t, u] + lb[t + 1, u]
-                if v > mx:
-                    mx = v
-            if mx == _NEG_INF:
-                lb[t, s] = _NEG_INF
-            else:
-                acc = 0.0
-                for u in range(S):
-                    acc += np.exp(log_a[s, u] + log_obs[t, u] + lb[t + 1, u] - mx)
-                lb[t, s] = mx + np.log(acc)
-    return lb
-
-
-def _transition_posteriors_loops(log_alpha, log_beta, log_a, log_obs, log_like):
-    T, S = log_obs.shape
-    xi = np.empty((T, S, S))
-    for t in range(T):
-        for s in range(S):
-            for u in range(S):
-                v = (log_alpha[t, s] + log_a[s, u] + log_obs[t, u]
-                     + log_beta[t + 1, u] - log_like)
-                xi[t, s, u] = np.exp(v)
-    return xi
-
-
-def _forward_numpy(log_pi, log_a, log_obs):
+def forward(log_pi, log_a, log_obs):
+    """Forward table log p(x_1..x_t, state_t = s), shape (T + 1, S)."""
     T, S = log_obs.shape
     la = np.empty((T + 1, S))
     la[0] = log_pi
@@ -100,7 +39,8 @@ def _forward_numpy(log_pi, log_a, log_obs):
     return la
 
 
-def _backward_numpy(log_a, log_obs):
+def backward(log_a, log_obs):
+    """Backward table log p(x_{t+1}..x_T | state_t = s), shape (T + 1, S)."""
     T, S = log_obs.shape
     lb = np.empty((T + 1, S))
     lb[T] = 0.0
@@ -109,37 +49,8 @@ def _backward_numpy(log_a, log_obs):
     return lb
 
 
-def _transition_posteriors_numpy(log_alpha, log_beta, log_a, log_obs, log_like):
+def transition_posteriors(log_alpha, log_beta, log_a, log_obs, log_like):
+    """Pairwise posteriors xi[t - 1, s, u] for t = 1..T, shape (T, S, S)."""
     joint = (log_alpha[:-1, :, None] + log_a[None, :, :]
              + (log_obs + log_beta[1:])[:, None, :] - log_like)
     return np.exp(joint)
-
-
-forward_numpy = _forward_numpy
-backward_numpy = _backward_numpy
-transition_posteriors_numpy = _transition_posteriors_numpy
-
-forward_numba = None
-backward_numba = None
-transition_posteriors_numba = None
-
-NUMBA_ENABLED = False
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        forward_numba = njit(cache=True)(_forward_loops)
-        backward_numba = njit(cache=True)(_backward_loops)
-        transition_posteriors_numba = njit(cache=True)(_transition_posteriors_loops)
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    forward = forward_numba
-    backward = backward_numba
-    transition_posteriors = transition_posteriors_numba
-else:
-    forward = forward_numpy
-    backward = backward_numpy
-    transition_posteriors = transition_posteriors_numpy

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .hmm import _check_rows_normalized, log_likelihood, posteriors, sample, validate_sequence
+from .hmm import check_rows_normalized, log_likelihood, posteriors, sample, validate_sequence
 
 
 @dataclass
@@ -118,23 +118,24 @@ class SequenceDataset:
         return np.concatenate([item.seq for item in self.items], axis=0)
 
 
-def reparameterize(beta_row: np.ndarray) -> np.ndarray:
-    """Map a score row to mixing coefficients: rectify, square, normalize.
+def reparameterize_rows(beta: np.ndarray) -> np.ndarray:
+    """Map score rows to mixing coefficients: rectify, square, normalize.
 
-    Entries with beta <= 0 map to exactly zero. At least one entry must be
-    positive, otherwise the row is degenerate.
+    Entries with beta <= 0 map to exactly zero. Every row must have at least
+    one positive entry, otherwise it is degenerate.
     """
-    beta_row = np.asarray(beta_row, dtype=np.float64)
-    r = np.maximum(beta_row, 0.0)
+    # C order makes each row sum bit-identical to summing that row on its own
+    r = np.maximum(np.ascontiguousarray(beta, dtype=np.float64), 0.0)
     r = r * r
-    total = r.sum()
-    if total == 0.0:
+    total = r.sum(axis=-1, keepdims=True)
+    if np.any(total == 0.0):
         raise ValueError("degenerate score row: no positive entry")
     return r / total
 
 
-def reparameterize_rows(beta: np.ndarray) -> np.ndarray:
-    return np.vstack([reparameterize(row) for row in np.asarray(beta, dtype=np.float64)])
+def reparameterize(beta_row: np.ndarray) -> np.ndarray:
+    """Map one score row to mixing coefficients (see reparameterize_rows)."""
+    return reparameterize_rows(beta_row)
 
 
 @dataclass
@@ -163,7 +164,7 @@ class SparseMixtureModel:
         if self.alpha.ndim != 2 or self.alpha.shape[1] != len(self.components):
             raise ValueError(
                 f"alpha must be (K, {len(self.components)}), got {self.alpha.shape}")
-        _check_rows_normalized(self.alpha, "alpha")
+        check_rows_normalized(self.alpha, "alpha")
         if self.beta is not None:
             self.beta = np.asarray(self.beta, dtype=np.float64)
             if self.beta.shape != self.alpha.shape:
@@ -207,7 +208,7 @@ class MixtureSufficientStats:
     log_likelihoods: np.ndarray = None
 
 
-def _check_node(model: SparseMixtureModel, node: int) -> int:
+def check_node(model: SparseMixtureModel, node: int) -> int:
     if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
         raise ValueError(f"node id must be an integer, got {node!r}")
     if node < 1 or node > model.num_nodes:
@@ -221,7 +222,7 @@ def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int
     Components whose coefficient is exactly zero are skipped, so sparse
     mixing rows reduce inference cost.
     """
-    node = _check_node(model, node)
+    node = check_node(model, node)
     seq = validate_sequence(seq, model.dim)
     row = model.alpha[node - 1]
     terms = [np.log(row[m]) + log_likelihood(model.components[m], seq)
@@ -242,7 +243,7 @@ def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> M
     seq_ll = np.empty(n)
     nodes = np.empty(n, dtype=np.int64)
     for i, item in enumerate(dataset.items):
-        node = _check_node(model, item.node)
+        node = check_node(model, item.node)
         nodes[i] = node
         row = model.alpha[node - 1]
         log_w = np.full(m_count, -np.inf)
@@ -276,17 +277,18 @@ def regularizer_value(alpha: np.ndarray, graph: AffinityGraph) -> float:
     return float(0.5 * np.sum(graph.weights * overlap))
 
 
-def coefficient_gradient(model: SparseMixtureModel, stats: MixtureSufficientStats,
-                         graph: AffinityGraph, lam: float) -> np.ndarray:
+def coefficient_gradient(alpha: np.ndarray, beta: np.ndarray,
+                         stats: MixtureSufficientStats, graph: AffinityGraph,
+                         lam: float) -> np.ndarray:
     """Ascent direction on beta for the penalized mixing objective.
 
     Combines the data pull (responsibilities minus current coefficients,
     averaged over the dataset) with the graph pull, then maps through the
-    reparameterization. Coordinates with beta <= 0 get an exact zero.
+    reparameterization. alpha must equal reparameterize_rows(beta).
+    Coordinates with beta <= 0 get an exact zero.
     """
-    if model.beta is None:
+    if beta is None:
         raise ValueError("model has no score parameterization (beta is None)")
-    alpha, beta = model.alpha, model.beta
     k_count, m_count = alpha.shape
     n = stats.eta.shape[0]
     psi = np.zeros((k_count, m_count))
@@ -310,7 +312,7 @@ def sample_from_node(model: SparseMixtureModel, node: int, length: int, rng,
     ``return_component=True`` the chosen component's 1-based index is
     returned alongside the sequence.
     """
-    node = _check_node(model, node)
+    node = check_node(model, node)
     rng = np.random.default_rng(rng)
     z = int(rng.choice(model.num_components, p=model.alpha[node - 1]))
     seq = sample(model.components[z], length, rng)

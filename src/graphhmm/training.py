@@ -213,9 +213,8 @@ def _update_scores(model: SparseMixtureModel, stats: MixtureSufficientStats,
     """
     beta = model.beta.copy()
     alpha = model.alpha.copy()
-    work = SparseMixtureModel(model.components, alpha, beta)
     for _ in range(config.inner_iters):
-        grad = coefficient_gradient(work, stats, graph, config.lam)
+        grad = coefficient_gradient(alpha, beta, stats, graph, config.lam)
         beta = beta + adam_ascent_step(adam, grad, config)
         dead = np.all(beta <= 0.0, axis=1)
         if np.any(dead):
@@ -224,7 +223,6 @@ def _update_scores(model: SparseMixtureModel, stats: MixtureSufficientStats,
             _warn(warnings, f"nodes {np.flatnonzero(dead) + 1}: all scores fell to zero, "
                             f"rows reset to uniform")
         alpha = reparameterize_rows(beta)
-        work = SparseMixtureModel(model.components, alpha, beta)
     return alpha, beta
 
 

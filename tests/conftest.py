@@ -9,22 +9,10 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 from scipy.stats import norm
 
 from graphhmm import kernels
 from graphhmm.hmm import GaussianHmm
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once so timed tests never pay compile cost."""
-    log_pi = np.log(np.array([0.5, 0.5]))
-    log_a = np.log(np.full((2, 2), 0.5))
-    log_obs = np.zeros((3, 2))
-    la = kernels.forward(log_pi, log_a, log_obs)
-    lb = kernels.backward(log_a, log_obs)
-    kernels.transition_posteriors(la, lb, log_a, log_obs, 0.0)
 
 
 def random_hmm(rng, num_states, dim, sparse_transitions=False):

@@ -142,7 +142,7 @@ def test_04_gradient_matches_finite_differences():
         data = SequenceDataset([(int(rng.integers(1, k + 1)), rng.normal(size=(3, 1)))
                                 for _ in range(6)])
         stats = mixture_posteriors(model, data)
-        grad = coefficient_gradient(model, stats, graph, lam)
+        grad = coefficient_gradient(model.alpha, model.beta, stats, graph, lam)
         for r in range(k):
             for c in range(m):
                 if beta[r, c] <= 1e-3:

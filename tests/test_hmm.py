@@ -8,6 +8,8 @@ import pytest
 from graphhmm import kernels
 from graphhmm.hmm import (VARIANCE_FLOOR, GaussianHmm, gaussian_log_densities,
                           log_likelihood, log_params, posteriors, sample)
+from graphhmm.mixture import SequenceDataset, SparseMixtureModel
+from graphhmm.training import em_step_mhmm
 
 from conftest import enum_log_likelihood, enum_posteriors, random_hmm
 
@@ -91,6 +93,24 @@ class TestPosteriors:
         # identical states: no evidence distinguishes them, so gamma[0] == initial
         post = posteriors(model, np.array([[0.4], [1.2]]))
         np.testing.assert_allclose(post.gamma[0], [0.25, 0.75], rtol=0, atol=1e-12)
+
+    def test_structural_zeros_are_exact(self):
+        # one-hot initial, and each state has one forbidden successor
+        transition = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        model = GaussianHmm([1.0, 0.0, 0.0], transition,
+                            [[0.0], [1.0], [2.0]], [[1.0], [1.0], [1.0]])
+        zero = transition == 0.0
+        rng = np.random.default_rng(14)
+        seqs = [rng.normal(size=(8, 1)) for _ in range(4)]
+        for seq in seqs:
+            post = posteriors(model, seq)
+            assert np.all(post.xi[:, zero] == 0.0)
+            assert np.all(post.gamma[0, 1:] == 0.0)
+        mixture = SparseMixtureModel([model], [[1.0]])
+        updated, _ = em_step_mhmm(mixture, SequenceDataset([(1, seq) for seq in seqs]))
+        new_transition = updated.components[0].transition
+        assert np.all(new_transition[zero] == 0.0)
+        assert np.all(new_transition[~zero] > 0.0)
 
 
 class TestSampling:

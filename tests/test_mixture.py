@@ -46,6 +46,19 @@ class TestReparameterize:
         out = reparameterize_rows([[1.0, 1.0], [-1.0, 2.0]])
         np.testing.assert_array_equal(out, [[0.5, 0.5], [0.0, 1.0]])
 
+    def test_rows_match_each_row_alone(self):
+        # wide rows in either memory order, so a changed summation order shows
+        rng = np.random.default_rng(1)
+        beta = rng.normal(size=(7, 12))
+        beta[:, 0] = 1.0
+        expected = [np.maximum(row, 0.0) ** 2 / np.sum(np.maximum(row, 0.0) ** 2)
+                    for row in beta]
+        for arr in (beta, np.asfortranarray(beta)):
+            np.testing.assert_array_equal(reparameterize_rows(arr), expected)
+        beta[3] = -1.0
+        with pytest.raises(ValueError, match="degenerate"):
+            reparameterize_rows(beta)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         row = rng.uniform(-1, 2, size=5)
@@ -234,7 +247,7 @@ class TestGradient:
             data = SequenceDataset([(int(rng.integers(1, k + 1)), rng.normal(size=(3, 1)))
                                     for _ in range(6)])
             stats = mixture_posteriors(model, data)
-            grad = coefficient_gradient(model, stats, graph, lam)
+            grad = coefficient_gradient(model.alpha, model.beta, stats, graph, lam)
             step = 1e-6
             for r in range(k):
                 for c in range(m):
@@ -255,7 +268,7 @@ class TestGradient:
         graph = AffinityGraph(np.zeros((1, 1)))
         data = SequenceDataset([(1, rng.normal(size=(3, 1)))])
         stats = mixture_posteriors(model, data)
-        grad = coefficient_gradient(model, stats, graph, 0.5)
+        grad = coefficient_gradient(model.alpha, model.beta, stats, graph, 0.5)
         assert grad[0, 1] == 0.0
 
     def test_requires_beta(self):
@@ -266,7 +279,7 @@ class TestGradient:
         data = SequenceDataset([(1, rng.normal(size=(3, 1)))])
         stats = mixture_posteriors(model, data)
         with pytest.raises(ValueError, match="beta"):
-            coefficient_gradient(model, stats, graph, 0.1)
+            coefficient_gradient(model.alpha, model.beta, stats, graph, 0.1)
 
 
 class TestModelValidation:

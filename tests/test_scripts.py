@@ -1,4 +1,4 @@
-"""Smoke tests for the repository scripts (benchmark and grid sweep)."""
+"""Smoke tests for the repository scripts (grid sweep)."""
 
 import importlib.util
 import json
@@ -24,11 +24,6 @@ def _load_script(relpath):
 @pytest.fixture(scope="module")
 def grid_sweep():
     return _load_script("scripts/grid_sweep.py")
-
-
-@pytest.fixture(scope="module")
-def bench_kernels():
-    return _load_script("benchmarks/bench_kernels.py")
 
 
 @pytest.fixture()
@@ -88,14 +83,3 @@ class TestGridSweep:
                               "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "momentum" in capsys.readouterr().err
-
-
-class TestBenchKernels:
-    def test_prints_timing_table(self, bench_kernels, capsys):
-        rc = bench_kernels.main(["--lengths", "30", "--states", "2",
-                                 "--repeats", "3", "--seed", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "forward" in out
-        assert "transition_posteriors" in out
-        assert "E-step" in out
