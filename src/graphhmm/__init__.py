@@ -16,10 +16,11 @@ from .hmm import (VARIANCE_FLOOR, GaussianHmm, StatePosteriors, gaussian_log_den
                   log_likelihood, posteriors, sample)
 from .io import (load_dataset, load_graph, load_model, load_stats, save_dataset,
                  save_graph, save_model, save_stats)
-from .mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
+from .mixture import (AffinityGraph, MixtureSufficientStats, PairBlock, SequenceDataset,
                       SequenceItem, SparseMixtureModel, coefficient_gradient,
-                      mixture_log_likelihood, mixture_posteriors, regularizer_value,
-                      reparameterize, reparameterize_rows, sample_from_node)
+                      mixture_log_likelihood, mixture_log_likelihoods, mixture_posteriors,
+                      regularizer_value, reparameterize, reparameterize_rows,
+                      sample_from_node)
 from .training import (AdamState, FitResult, InitSpec, TrainConfig,
                        baseline_state_counts, em_step_mhmm, em_step_spamhmm, fit,
                        fit_per_node, fit_single_hmm, initialize_model)
@@ -28,13 +29,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AffinityGraph", "FitResult", "GaussianHmm", "InitSpec",
-    "MixtureSufficientStats", "PosteriorModel", "ScoredSequence", "SequenceDataset",
-    "SequenceItem", "SparseMixtureModel", "StatePosteriors", "TrainConfig",
+    "MixtureSufficientStats", "PairBlock", "PosteriorModel", "ScoredSequence",
+    "SequenceDataset", "SequenceItem", "SparseMixtureModel", "StatePosteriors", "TrainConfig",
     "VARIANCE_FLOOR", "baseline_state_counts", "cluster_assignments",
     "coefficient_gradient", "condition", "em_step_mhmm", "em_step_spamhmm", "fit",
     "fit_per_node", "fit_single_hmm", "forecast_mean", "gaussian_log_densities",
     "initialize_model", "load_dataset", "load_graph", "load_model", "load_stats",
-    "log_likelihood", "mixture_log_likelihood", "mixture_posteriors", "posteriors",
+    "log_likelihood", "mixture_log_likelihood", "mixture_log_likelihoods",
+    "mixture_posteriors", "posteriors",
     "predictive_log_likelihood", "regularizer_value", "relative_sparsity",
     "reparameterize", "reparameterize_rows", "roc_auc", "sample", "sample_from_node",
     "save_dataset", "save_graph", "save_model", "save_stats", "score_dataset",

@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mixture import SequenceDataset, SparseMixtureModel, mixture_log_likelihood
+from .mixture import SequenceDataset, SparseMixtureModel, mixture_log_likelihoods
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -27,13 +27,10 @@ class ScoredSequence:
 
 def score_dataset(model: SparseMixtureModel, dataset: SequenceDataset) -> list:
     """Score every sequence under its own node's mixture."""
-    out = []
-    for item in dataset.items:
-        ll = mixture_log_likelihood(model, item.seq, item.node)
-        out.append(ScoredSequence(node=item.node, length=item.seq.shape[0],
-                                  avg_log_likelihood=ll / item.seq.shape[0],
-                                  label=item.label))
-    return out
+    lls = mixture_log_likelihoods(model, dataset)
+    return [ScoredSequence(node=item.node, length=item.seq.shape[0],
+                           avg_log_likelihood=float(ll) / item.seq.shape[0], label=item.label)
+            for item, ll in zip(dataset.items, lls)]
 
 
 def roc_auc(scores: list):
@@ -45,7 +42,8 @@ def roc_auc(scores: list):
     move as one step, so ties across classes produce diagonal segments and
     the trapezoidal area counts them at half weight. Both classes must be
     present. Returns (curve, auc) where curve is a list of (fpr, tpr) points
-    from (0, 0) to (1, 1).
+    from (0, 0) to (1, 1). One sort and two running counts give every
+    point, so the cost is O(N log N).
     """
     values = []
     labels = []
@@ -63,14 +61,15 @@ def roc_auc(scores: list):
     n_norm = len(labels) - n_anom
     if n_anom == 0 or n_norm == 0:
         raise ValueError("roc_auc needs at least one normal and one anomalous score")
-    curve = [(0.0, 0.0)]
-    for v in np.unique(values):
-        flagged = values <= v
-        fpr = float(np.sum(flagged & ~anom)) / n_norm
-        tpr = float(np.sum(flagged & anom)) / n_anom
-        curve.append((fpr, tpr))
-    fprs = np.array([p[0] for p in curve])
-    tprs = np.array([p[1] for p in curve])
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    flagged_anom = np.cumsum(anom[order])
+    flagged_norm = np.arange(1, ranked.size + 1) - flagged_anom
+    # the last position of each run of tied scores is one threshold
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    fprs = np.concatenate([[0.0], flagged_norm[ends] / n_norm])
+    tprs = np.concatenate([[0.0], flagged_anom[ends] / n_anom])
+    curve = list(zip(fprs.tolist(), tprs.tolist()))
     auc = float(_trapezoid(tprs, fprs))
     return curve, auc
 

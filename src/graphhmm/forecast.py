@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .hmm import gaussian_log_densities, log_params, posteriors, validate_sequence
-from .mixture import SparseMixtureModel, check_node
+from .hmm import validate_sequence
+from .mixture import (SparseMixtureModel, StackedComponents, check_node, pair_log_densities,
+                      stack_components)
 
 
 @dataclass
@@ -42,26 +43,42 @@ class PosteriorModel:
         return self.components[0].dim
 
 
+def _end_forward(stacked: StackedComponents, log_init: np.ndarray, seq: np.ndarray,
+                 comps: np.ndarray) -> np.ndarray:
+    """Last forward row (L, S) of seq under each of the components comps.
+
+    log_init is the (L, S) log initial distribution of each component.
+    """
+    log_obs = pair_log_densities(stacked, [seq], np.zeros(comps.size, dtype=np.int64), comps)
+    return kernels.forward_pairs(log_init, stacked.log_transition[comps], log_obs)[:, -1]
+
+
 def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> PosteriorModel:
-    """Compute the prefix posterior over components and end states."""
+    """Compute the prefix posterior over components and end states.
+
+    One forward pass, batched over the live components, gives both: the end
+    state posterior is exp(log_alpha[T] - log_like), as the backward table is
+    exactly zero at t = T.
+    """
     node = check_node(model, node)
     prefix = validate_sequence(prefix, model.dim)
     m_count = model.num_components
     s_count = model.num_states
     row = model.alpha[node - 1]
+    comps = np.flatnonzero(row > 0.0)
+    stacked = stack_components(model.components)
+    end = np.full((m_count, s_count), -np.inf)
+    end[comps] = _end_forward(stacked, stacked.log_initial[comps], prefix, comps)
+    comp_ll = kernels.logsumexp(end, axis=1)
     log_w = np.full(m_count, -np.inf)
-    initials = np.full((m_count, s_count), 1.0 / s_count)
-    for m in range(m_count):
-        if row[m] > 0.0:
-            post = posteriors(model.components[m], prefix)
-            log_w[m] = np.log(row[m]) + post.log_likelihood
-            initials[m] = post.gamma[-1]
+    log_w[comps] = np.log(row[comps]) + comp_ll[comps]
     total = float(kernels.logsumexp(log_w))
     if total == -np.inf:
         raise ValueError("prefix has zero likelihood under every component")
     weights = np.exp(log_w - total)
     inert = weights == 0.0
-    initials[inert] = 1.0 / s_count
+    initials = np.full((m_count, s_count), 1.0 / s_count)
+    initials[~inert] = np.exp(end[~inert] - comp_ll[~inert, None])
     return PosteriorModel(components=list(model.components), weights=weights,
                           conditional_initials=initials, inert=inert)
 
@@ -69,19 +86,12 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
 def predictive_log_likelihood(posterior: PosteriorModel, continuation: np.ndarray) -> float:
     """log p(continuation | prefix, node) under the conditioned mixture."""
     continuation = validate_sequence(continuation, posterior.dim)
-    terms = []
-    for m in range(posterior.num_components):
-        w = posterior.weights[m]
-        if w == 0.0:
-            continue
-        comp = posterior.components[m]
-        _, log_a = log_params(comp)
-        with np.errstate(divide="ignore"):
-            log_init = np.log(posterior.conditional_initials[m])
-        log_obs = gaussian_log_densities(continuation, comp.means, comp.variances)
-        log_alpha = kernels.forward(log_init, log_a, log_obs)
-        terms.append(np.log(w) + kernels.logsumexp(log_alpha[-1]))
-    return float(kernels.logsumexp(np.array(terms)))
+    comps = np.flatnonzero(posterior.weights != 0.0)
+    with np.errstate(divide="ignore"):
+        log_init = np.log(posterior.conditional_initials[comps])
+    end = _end_forward(stack_components(posterior.components), log_init, continuation, comps)
+    terms = np.log(posterior.weights[comps]) + kernels.logsumexp(end, axis=1)
+    return float(kernels.logsumexp(terms))
 
 
 def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,

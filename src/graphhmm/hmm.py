@@ -98,16 +98,18 @@ def log_params(hmm: GaussianHmm):
 
 def gaussian_log_densities(seq: np.ndarray, means: np.ndarray,
                            variances: np.ndarray) -> np.ndarray:
-    """Per-frame, per-state diagonal Gaussian log-densities, shape (T, S).
+    """Per-frame, per-state diagonal Gaussian log-densities, shape (..., T, S).
 
-    An observation far enough away to overflow the quadratic term saturates
-    to -inf, the structural-zero convention of the forward pass.
+    seq is (..., T, D) and means/variances are (..., S, D); leading axes
+    broadcast, so a stack of (sequence, component) pairs takes one call. An
+    observation far enough away to overflow the quadratic term saturates to
+    -inf, the structural-zero convention of the forward pass.
     """
-    diff = seq[:, None, :] - means[None, :, :]
-    log_norm = np.sum(_LOG_2PI + np.log(variances), axis=1)
+    diff = seq[..., :, None, :] - means[..., None, :, :]
+    log_norm = np.sum(_LOG_2PI + np.log(variances), axis=-1)
     with np.errstate(over="ignore"):
-        quad = np.sum(diff * diff / variances[None, :, :], axis=2)
-    return -0.5 * (log_norm[None, :] + quad)
+        quad = np.sum(diff * diff / variances[..., None, :, :], axis=-1)
+    return -0.5 * (log_norm[..., None, :] + quad)
 
 
 def validate_sequence(seq: np.ndarray, dim: int) -> np.ndarray:

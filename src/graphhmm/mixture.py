@@ -17,7 +17,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .hmm import check_rows_normalized, log_likelihood, posteriors, sample, validate_sequence
+from .hmm import (check_rows_normalized, gaussian_log_densities, log_params, sample,
+                  validate_sequence)
+
+# Live pairs per block: one recursion step then covers about BLOCK_CELLS
+# (pair, state, state) cells, whatever the state count.
+BLOCK_CELLS = 4096
+# (pair, t, state, dim) cells of the deviations in one batched density call.
+DENSITY_CELLS = 8192
 
 
 @dataclass
@@ -191,19 +198,36 @@ class SparseMixtureModel:
 
 
 @dataclass
+class PairBlock:
+    """Posteriors of a block of live (sequence, component) pairs of one length T.
+
+    Pair b is record seq[b] under component comp[b] (both 0-based).
+    gamma[b, t, s] = P(state_t = s | sequence, component) for t = 0..T, and
+    transitions[b, s, u] = sum_t P(state_{t-1} = s, state_t = u | sequence,
+    component) is the expected transition count. A pair whose likelihood is
+    zero under its component has all-zero gamma and transitions.
+    """
+
+    seq: np.ndarray
+    comp: np.ndarray
+    gamma: np.ndarray
+    transitions: np.ndarray
+
+
+@dataclass
 class MixtureSufficientStats:
     """Everything the M-step needs, cached from one E-step sweep.
 
     eta[i, m] is the posterior probability that sequence i came from
-    component m given its node. posteriors[i][m] is the StatePosteriors of
-    (component m, sequence i), or None where the prior alpha[node_i, m] is
-    exactly zero (eta is exactly zero there and the pair contributes
-    nothing). log_likelihoods[i] is log p(seq_i | node_i).
+    component m given its node. blocks holds the state posteriors of the
+    live pairs, those with alpha[node_i, m] > 0, stacked in PairBlocks; a
+    pair absent from every block has a zero prior, so its eta is exactly zero
+    and it contributes nothing. log_likelihoods[i] is log p(seq_i | node_i).
     """
 
     node_counts: np.ndarray
     eta: np.ndarray
-    posteriors: list
+    blocks: list
     nodes: np.ndarray = None
     log_likelihoods: np.ndarray = None
 
@@ -216,6 +240,122 @@ def check_node(model: SparseMixtureModel, node: int) -> int:
     return int(node)
 
 
+class StackedComponents(NamedTuple):
+    """The parameters of M components as stacked arrays.
+
+    log_initial is (M, S) and log_transition (M, S, S), both with exact -inf
+    at zeros; means and variances are (M, S, D).
+    """
+
+    log_initial: np.ndarray
+    log_transition: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+
+
+def stack_components(components: list) -> StackedComponents:
+    """Stack the parameters of equally shaped components, in order."""
+    logs = [log_params(comp) for comp in components]
+    return StackedComponents(np.stack([pi for pi, _ in logs]), np.stack([a for _, a in logs]),
+                             np.stack([comp.means for comp in components]),
+                             np.stack([comp.variances for comp in components]))
+
+
+def pair_log_densities(stacked: StackedComponents, seqs: list, seq: np.ndarray,
+                       comp: np.ndarray) -> np.ndarray:
+    """Emission log-densities of seqs[seq[b]] under component comp[b], shape (B, T, S).
+
+    The sequences share one length T. Each gaussian_log_densities call
+    covers as many pairs as fit in about DENSITY_CELLS (pair, t, s, d) cells;
+    every entry is the same arithmetic as a call per pair. The result is a
+    view of a time-major (T, B, S) array, the layout the recursions step in.
+    """
+    _, s_count, dim = stacked.means.shape
+    t_len = seqs[seq[0]].shape[0]
+    size = max(1, DENSITY_CELLS // (t_len * s_count * dim))
+    out = np.empty((t_len, seq.size, s_count))
+    for start in range(0, seq.size, size):
+        part = slice(start, start + size)
+        dens = gaussian_log_densities(np.stack([seqs[i] for i in seq[part]]),
+                                      stacked.means[comp[part]], stacked.variances[comp[part]])
+        out[:, part] = dens.transpose(1, 0, 2)
+    return out.transpose(1, 0, 2)
+
+
+def _live_pair_blocks(model: SparseMixtureModel, seqs: list, nodes: np.ndarray):
+    """Yield (seq, comp) index arrays of blocks of live pairs.
+
+    Pair (i, m) is live when alpha[nodes[i] - 1, m] > 0. Live pairs are ordered
+    by sequence length, then record, then component, and cut into blocks of
+    one length and at most max(1, BLOCK_CELLS // S**2) pairs.
+    """
+    lengths = np.array([x.shape[0] for x in seqs])
+    seq, comp = np.nonzero(model.alpha[nodes - 1] > 0.0)
+    order = np.argsort(lengths[seq], kind="stable")
+    seq, comp = seq[order], comp[order]
+    size = max(1, BLOCK_CELLS // (model.num_states * model.num_states))
+    cuts = np.flatnonzero(np.diff(lengths[seq])) + 1
+    for run_seq, run_comp in zip(np.split(seq, cuts), np.split(comp, cuts)):
+        for start in range(0, run_seq.size, size):
+            yield run_seq[start:start + size], run_comp[start:start + size]
+
+
+def _block_forward(stacked: StackedComponents, seqs: list, seq: np.ndarray, comp: np.ndarray):
+    """Forward pass over one block of live pairs.
+
+    Returns the log transitions (B, S, S), emission log-densities, forward
+    tables and each pair's log-likelihood under its component alone.
+    """
+    log_obs = pair_log_densities(stacked, seqs, seq, comp)
+    log_a = stacked.log_transition[comp]
+    la = kernels.forward_pairs(stacked.log_initial[comp], log_a, log_obs)
+    return log_a, log_obs, la, kernels.logsumexp(la[:, -1], axis=1)
+
+
+def _block_posteriors(stacked: StackedComponents, seqs: list, seq: np.ndarray,
+                      comp: np.ndarray):
+    """Posteriors of one block and each pair's log-likelihood under its component.
+
+    The block's forward and backward tables are freed on return, so only one
+    block's tables are held at a time.
+    """
+    log_a, log_obs, la, ll = _block_forward(stacked, seqs, seq, comp)
+    lb = kernels.backward_pairs(log_a, log_obs)
+    # at zero likelihood la + lb is -inf (or too small for exp) at every
+    # cell, so normalizing by log 1 instead of log 0 leaves exact zeros, not nan
+    safe_ll = np.where(ll == -np.inf, 0.0, ll)
+    gamma = np.exp(la + lb - safe_ll[:, None, None])
+    transitions = kernels.transition_counts(la, lb, log_a, log_obs, safe_ll)
+    return PairBlock(seq, comp, gamma, transitions), ll
+
+
+def _checked_nodes(model: SparseMixtureModel, dataset: SequenceDataset) -> np.ndarray:
+    return np.array([check_node(model, item.node) for item in dataset.items], dtype=np.int64)
+
+
+def _mixture_log_weights(model: SparseMixtureModel, seqs: list, nodes: np.ndarray) -> np.ndarray:
+    """log alpha[node_i, m] + log p(seq_i | component m), shape (N, M); -inf where not live."""
+    stacked = stack_components(model.components)
+    log_w = np.full((len(seqs), model.num_components), -np.inf)
+    for seq, comp in _live_pair_blocks(model, seqs, nodes):
+        # keep only the log-likelihoods, so the block's tables are freed here
+        ll = _block_forward(stacked, seqs, seq, comp)[3]
+        log_w[seq, comp] = np.log(model.alpha[nodes[seq] - 1, comp]) + ll
+    return log_w
+
+
+def mixture_log_likelihoods(model: SparseMixtureModel, dataset: SequenceDataset) -> np.ndarray:
+    """log p(seq_i | node_i) for every record, shape (N,).
+
+    Runs only the forward pass, batched over blocks of live pairs; pairs
+    whose coefficient is exactly zero are skipped. A record with zero
+    likelihood under every live component gets -inf.
+    """
+    seqs = [item.seq for item in dataset.items]
+    return kernels.logsumexp(_mixture_log_weights(model, seqs, _checked_nodes(model, dataset)),
+                             axis=1)
+
+
 def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int) -> float:
     """log p(seq | node) = log sum_m alpha[node, m] p(seq | component m).
 
@@ -224,43 +364,37 @@ def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int
     """
     node = check_node(model, node)
     seq = validate_sequence(seq, model.dim)
-    row = model.alpha[node - 1]
-    terms = [np.log(row[m]) + log_likelihood(model.components[m], seq)
-             for m in range(model.num_components) if row[m] > 0.0]
-    return float(kernels.logsumexp(np.array(terms)))
+    return float(kernels.logsumexp(_mixture_log_weights(model, [seq], np.array([node]))[0]))
 
 
 def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> MixtureSufficientStats:
     """One E-step sweep: component responsibilities and state posteriors.
 
-    Pairs (i, m) with alpha[node_i, m] == 0 are skipped; their eta is exactly
-    zero and their posterior slot is None.
+    Forward, backward and the transition counts run once per timestep per
+    block of live pairs of one length (see _live_pair_blocks). Pairs with
+    alpha[node_i, m] == 0 are skipped; their eta is exactly zero and they
+    appear in no block. A live pair with zero likelihood under its own
+    component also gets eta exactly zero and zero posteriors. A record with
+    zero likelihood under every live component raises ValueError.
     """
-    n = len(dataset)
-    m_count = model.num_components
-    eta = np.zeros((n, m_count))
-    post_grid = []
-    seq_ll = np.empty(n)
-    nodes = np.empty(n, dtype=np.int64)
-    for i, item in enumerate(dataset.items):
-        node = check_node(model, item.node)
-        nodes[i] = node
-        row = model.alpha[node - 1]
-        log_w = np.full(m_count, -np.inf)
-        posts = [None] * m_count
-        for m in range(m_count):
-            if row[m] > 0.0:
-                p = posteriors(model.components[m], item.seq)
-                posts[m] = p
-                log_w[m] = np.log(row[m]) + p.log_likelihood
-        ll = float(kernels.logsumexp(log_w))
-        if ll == -np.inf:
-            raise ValueError(f"sequence {i} has zero likelihood under every component")
-        eta[i] = np.exp(log_w - ll)
-        seq_ll[i] = ll
-        post_grid.append(posts)
+    nodes = _checked_nodes(model, dataset)
+    seqs = [item.seq for item in dataset.items]
+    stacked = stack_components(model.components)
+    log_w = np.full((len(seqs), model.num_components), -np.inf)
+    blocks = []
+    for seq, comp in _live_pair_blocks(model, seqs, nodes):
+        block, ll = _block_posteriors(stacked, seqs, seq, comp)
+        log_w[seq, comp] = np.log(model.alpha[nodes[seq] - 1, comp]) + ll
+        blocks.append(block)
+    seq_ll = kernels.logsumexp(log_w, axis=1)
+    zero = np.flatnonzero(seq_ll == -np.inf)
+    if zero.size:
+        i = int(zero[0])
+        raise ValueError(f"record {i} (node {nodes[i]}) has zero likelihood under every "
+                         f"live component")
+    eta = np.exp(log_w - seq_ll[:, None])
     counts = dataset.node_counts(model.num_nodes)
-    return MixtureSufficientStats(node_counts=counts, eta=eta, posteriors=post_grid,
+    return MixtureSufficientStats(node_counts=counts, eta=eta, blocks=blocks,
                                   nodes=nodes, log_likelihoods=seq_ll)
 
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .hmm import VARIANCE_FLOOR, GaussianHmm
 from .mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
-                      SparseMixtureModel, coefficient_gradient, mixture_log_likelihood,
+                      SparseMixtureModel, coefficient_gradient, mixture_log_likelihoods,
                       mixture_posteriors, regularizer_value, reparameterize_rows)
 
 logger = logging.getLogger(__name__)
@@ -119,67 +120,87 @@ def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
                            stats: MixtureSufficientStats, warnings: list = None) -> list:
     """Closed-form updates of initial/transition/means/variances per component.
 
-    A component whose total responsibility is below RESPONSIBILITY_EPS keeps
-    all its parameters; within a live component, a state whose occupancy
-    denominator is that small keeps its row. Variances are floored after the
-    update. Variance updates use the freshly updated means.
+    The eta-weighted sums run over the E-step's blocks of live pairs, one
+    array expression per block. A component whose total responsibility is
+    below RESPONSIBILITY_EPS keeps all its parameters; within a live
+    component, a state whose occupancy denominator is that small keeps its
+    row. Variances are floored after the update. Variance updates use the
+    freshly updated means.
     """
     m_count = model.num_components
     s_count, dim = model.num_states, model.dim
     eta = stats.eta
     comp_resp = eta.sum(axis=0)
+    pi_num = np.zeros((m_count, s_count))
+    trans_num = np.zeros((m_count, s_count, s_count))
+    trans_den = np.zeros((m_count, s_count))
+    occ = np.zeros((m_count, s_count))
+    mean_num = np.zeros((m_count, s_count, dim))
+    block_seqs = []
+    for block in stats.blocks:
+        w = eta[block.seq, block.comp]
+        seqs = np.stack([dataset.items[i].seq for i in block.seq])
+        emit_gamma = block.gamma[:, 1:]
+        np.add.at(pi_num, block.comp, w[:, None] * block.gamma[:, 0])
+        np.add.at(trans_num, block.comp, w[:, None, None] * block.transitions)
+        np.add.at(trans_den, block.comp, w[:, None] * block.gamma[:, :-1].sum(axis=1))
+        np.add.at(occ, block.comp, w[:, None] * emit_gamma.sum(axis=1))
+        np.add.at(mean_num, block.comp,
+                  w[:, None, None] * np.einsum("bts,btd->bsd", emit_gamma, seqs))
+        block_seqs.append(seqs)
+    live_comp = comp_resp >= RESPONSIBILITY_EPS
+    live_trans = trans_den >= RESPONSIBILITY_EPS
+    live_emit = occ >= RESPONSIBILITY_EPS
+    means = np.stack([comp.means for comp in model.components])
+    means[live_emit] = mean_num[live_emit] / occ[live_emit, None]
+    var_num = np.zeros((m_count, s_count, dim))
+    for block, seqs in zip(stats.blocks, block_seqs):
+        w = eta[block.seq, block.comp]
+        np.add.at(var_num, block.comp,
+                  w[:, None, None] * _weighted_square_deviations(
+                      block.gamma[:, 1:], seqs, means[block.comp]))
     new_components = []
-    for m in range(m_count):
-        old = model.components[m]
-        if comp_resp[m] < RESPONSIBILITY_EPS:
+    for m, old in enumerate(model.components):
+        if not live_comp[m]:
             _warn(warnings, f"component {m + 1}: total responsibility below "
                             f"{RESPONSIBILITY_EPS:g}, parameters left unchanged")
             new_components.append(old)
             continue
-        pi_num = np.zeros(s_count)
-        trans_num = np.zeros((s_count, s_count))
-        trans_den = np.zeros(s_count)
-        occ = np.zeros(s_count)
-        mean_num = np.zeros((s_count, dim))
-        for i, item in enumerate(dataset.items):
-            w = eta[i, m]
-            if w == 0.0:
-                continue
-            post = stats.posteriors[i][m]
-            pi_num += w * post.gamma[0]
-            trans_num += w * post.xi.sum(axis=0)
-            trans_den += w * post.gamma[:-1].sum(axis=0)
-            emit_gamma = post.gamma[1:]
-            occ += w * emit_gamma.sum(axis=0)
-            mean_num += w * (emit_gamma.T @ item.seq)
-        initial = pi_num / comp_resp[m]
+        initial = pi_num[m] / comp_resp[m]
         transition = old.transition.copy()
-        live_trans = trans_den >= RESPONSIBILITY_EPS
-        transition[live_trans] = trans_num[live_trans] / trans_den[live_trans, None]
-        if not np.all(live_trans):
+        rows = live_trans[m]
+        transition[rows] = trans_num[m, rows] / trans_den[m, rows, None]
+        if not np.all(rows):
             _warn(warnings, f"component {m + 1}: transition rows "
-                            f"{np.flatnonzero(~live_trans) + 1} have near-zero occupancy, "
+                            f"{np.flatnonzero(~rows) + 1} have near-zero occupancy, "
                             f"left unchanged")
-        means = old.means.copy()
-        live_emit = occ >= RESPONSIBILITY_EPS
-        means[live_emit] = mean_num[live_emit] / occ[live_emit, None]
-        if not np.all(live_emit):
+        states = live_emit[m]
+        if not np.all(states):
             _warn(warnings, f"component {m + 1}: emission states "
-                            f"{np.flatnonzero(~live_emit) + 1} have near-zero occupancy, "
+                            f"{np.flatnonzero(~states) + 1} have near-zero occupancy, "
                             f"left unchanged")
-        var_num = np.zeros((s_count, dim))
-        for i, item in enumerate(dataset.items):
-            w = eta[i, m]
-            if w == 0.0:
-                continue
-            post = stats.posteriors[i][m]
-            diff = item.seq[:, None, :] - means[None, :, :]
-            var_num += w * np.einsum("ts,tsd->sd", post.gamma[1:], diff * diff)
         variances = old.variances.copy()
-        variances[live_emit] = var_num[live_emit] / occ[live_emit, None]
+        variances[states] = var_num[m, states] / occ[m, states, None]
         variances = np.maximum(variances, VARIANCE_FLOOR)
-        new_components.append(GaussianHmm(initial, transition, means, variances))
+        new_components.append(GaussianHmm(initial, transition, means[m], variances))
     return new_components
+
+
+def _weighted_square_deviations(gamma: np.ndarray, seqs: np.ndarray,
+                                means: np.ndarray) -> np.ndarray:
+    """sum_t gamma[b, t, s] * (seqs[b, t] - means[b, s])**2 per pair, shape (B, S, D).
+
+    Summed over time chunks so that the (B, C, S, D) deviations stay near
+    kernels.CHUNK_CELLS cells.
+    """
+    b_count, t_len, s_count = gamma.shape
+    chunk = max(1, kernels.CHUNK_CELLS // (b_count * s_count * seqs.shape[2]))
+    out = np.zeros(means.shape)
+    for start in range(0, t_len, chunk):
+        stop = min(start + chunk, t_len)
+        diff = seqs[:, start:stop, None, :] - means[:, None, :, :]
+        out += np.einsum("bts,btsd->bsd", gamma[:, start:stop], diff * diff)
+    return out
 
 
 def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset,
@@ -336,7 +357,7 @@ class FitResult:
 
 def _current_objective(model: SparseMixtureModel, dataset: SequenceDataset,
                        graph: AffinityGraph, mode: str, lam: float) -> float:
-    lls = [mixture_log_likelihood(model, item.seq, item.node) for item in dataset.items]
+    lls = mixture_log_likelihoods(model, dataset)
     if mode == "mhmm":
         return float(np.sum(lls))
     return float(np.mean(lls) + lam * regularizer_value(model.alpha, graph))

@@ -1,0 +1,177 @@
+"""The batched E-step, M-step and log-likelihood against per-pair inference.
+
+The reference side runs ``hmm.posteriors`` once per live (sequence,
+component) pair and re-estimates the components with a loop over
+components and sequences, the way the package did before the recursions
+were batched. The dataset mixes lengths (T = 1 included), has a
+structural-zero transition, sparse mixing rows and a node without data.
+Small block and chunk sizes force several blocks per length and several
+time chunks per block.
+"""
+
+import numpy as np
+import pytest
+
+from graphhmm import kernels, mixture
+from graphhmm.hmm import VARIANCE_FLOOR, GaussianHmm, gaussian_log_densities, posteriors
+from graphhmm.mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
+                              SparseMixtureModel, mixture_log_likelihood,
+                              mixture_log_likelihoods, mixture_posteriors,
+                              pair_log_densities, reparameterize_rows, stack_components)
+from graphhmm.training import (RESPONSIBILITY_EPS, AdamState, TrainConfig, _update_scores,
+                               em_step_mhmm, em_step_spamhmm)
+
+from conftest import random_hmm
+
+ATOL = 1e-12
+
+
+def make_case(seed):
+    rng = np.random.default_rng(seed)
+    comps = [random_hmm(rng, 3, 2) for _ in range(3)]
+    zeroed = comps[0].transition.copy()
+    zeroed[0, 1] = 0.0
+    zeroed[0] /= zeroed[0].sum()
+    comps[0] = GaussianHmm(comps[0].initial, zeroed, comps[0].means, comps[0].variances)
+    # node 4 has no data; rows 2 and 3 are sparse
+    beta = np.array([[0.8, 0.6, 0.5],
+                     [-0.2, 0.9, 0.4],
+                     [1.0, -0.1, -0.3],
+                     [0.3, 0.7, 0.2]])
+    model = SparseMixtureModel(comps, reparameterize_rows(beta), beta)
+    nodes = [1, 2, 3, 1, 2, 3, 1, 2, 1, 3, 2, 1]
+    lengths = [1, 4, 4, 1, 7, 4, 3, 1, 4, 7, 3, 4]
+    data = SequenceDataset([(node, rng.normal(size=(t, 2)) * 1.5)
+                            for node, t in zip(nodes, lengths)])
+    return model, data
+
+
+def per_pair_estep(model, data):
+    """eta, log-likelihoods and a {(i, m): StatePosteriors} map, one pair at a time."""
+    n, m_count = len(data), model.num_components
+    log_w = np.full((n, m_count), -np.inf)
+    posts = {}
+    for i, item in enumerate(data.items):
+        row = model.alpha[item.node - 1]
+        for m in range(m_count):
+            if row[m] > 0.0:
+                posts[i, m] = posteriors(model.components[m], item.seq)
+                log_w[i, m] = np.log(row[m]) + posts[i, m].log_likelihood
+    ll = np.array([float(kernels.logsumexp(r)) for r in log_w])
+    return np.exp(log_w - ll[:, None]), ll, posts
+
+
+def per_pair_mstep(model, data, eta, posts):
+    """Component re-estimation as one loop over components and sequences."""
+    s_count, dim = model.num_states, model.dim
+    out = []
+    for m, old in enumerate(model.components):
+        resp = eta[:, m].sum()
+        if resp < RESPONSIBILITY_EPS:
+            out.append(old)
+            continue
+        pi_num, trans_den, occ = np.zeros(s_count), np.zeros(s_count), np.zeros(s_count)
+        trans_num = np.zeros((s_count, s_count))
+        mean_num = np.zeros((s_count, dim))
+        live = [(i, item) for i, item in enumerate(data.items) if eta[i, m] > 0.0]
+        for i, item in live:
+            w, post = eta[i, m], posts[i, m]
+            pi_num += w * post.gamma[0]
+            trans_num += w * post.xi.sum(axis=0)
+            trans_den += w * post.gamma[:-1].sum(axis=0)
+            occ += w * post.gamma[1:].sum(axis=0)
+            mean_num += w * (post.gamma[1:].T @ item.seq)
+        means = mean_num / occ[:, None]
+        var_num = np.zeros((s_count, dim))
+        for i, item in live:
+            diff = item.seq[:, None, :] - means[None, :, :]
+            var_num += eta[i, m] * np.einsum("ts,tsd->sd", posts[i, m].gamma[1:], diff * diff)
+        out.append(GaussianHmm(pi_num / resp, trans_num / trans_den[:, None], means,
+                               np.maximum(var_num / occ[:, None], VARIANCE_FLOOR)))
+    return out
+
+
+def assert_components_close(got, expected):
+    for a, b in zip(got, expected):
+        for name in ("initial", "transition", "means", "variances"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=ATOL)
+        # structural zeros stay exact
+        np.testing.assert_array_equal(a.transition == 0.0, b.transition == 0.0)
+
+
+@pytest.fixture(params=["default", "small"])
+def block_sizes(request, monkeypatch):
+    """Default block and chunk sizes, or sizes small enough to split every length."""
+    if request.param == "small":
+        monkeypatch.setattr(mixture, "BLOCK_CELLS", 18)
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", 9)
+    return request.param
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_estep_matches_per_pair(seed, block_sizes):
+    model, data = make_case(seed)
+    eta, ll, posts = per_pair_estep(model, data)
+    stats = mixture_posteriors(model, data)
+    np.testing.assert_allclose(stats.eta, eta, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(stats.log_likelihoods, ll, rtol=0, atol=ATOL)
+    np.testing.assert_array_equal(stats.eta == 0.0, eta == 0.0)
+    live = [(i, m) for b in stats.blocks for i, m in zip(b.seq.tolist(), b.comp.tolist())]
+    assert sorted(live) == sorted(posts)
+    if block_sizes == "small":
+        assert max(b.seq.size for b in stats.blocks) == 2
+    for block in stats.blocks:
+        lengths = {data.items[i].seq.shape[0] for i in block.seq}
+        assert len(lengths) == 1
+        for b, (i, m) in enumerate(zip(block.seq, block.comp)):
+            np.testing.assert_allclose(block.gamma[b], posts[i, m].gamma, rtol=0, atol=ATOL)
+            np.testing.assert_allclose(block.transitions[b], posts[i, m].xi.sum(axis=0),
+                                       rtol=0, atol=ATOL)
+    np.testing.assert_allclose(mixture_log_likelihoods(model, data), ll, rtol=0, atol=ATOL)
+    for i, item in enumerate(data.items):
+        np.testing.assert_allclose(mixture_log_likelihood(model, item.seq, item.node), ll[i],
+                                   rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mhmm_step_matches_per_pair(seed, block_sizes):
+    model, data = make_case(seed)
+    model = SparseMixtureModel(model.components, model.alpha)
+    eta, ll, posts = per_pair_estep(model, data)
+    updated, objective = em_step_mhmm(model, data)
+    np.testing.assert_allclose(objective, ll.sum(), rtol=0, atol=ATOL)
+    assert_components_close(updated.components, per_pair_mstep(model, data, eta, posts))
+    np.testing.assert_array_equal(updated.alpha[3], model.alpha[3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spamhmm_step_matches_per_pair(seed, block_sizes):
+    model, data = make_case(seed)
+    graph = AffinityGraph(np.array([[0.0, 1.0, 0.5, 0.0],
+                                    [1.0, 0.0, 0.0, 0.2],
+                                    [0.5, 0.0, 0.0, 1.0],
+                                    [0.0, 0.2, 1.0, 0.0]]))
+    config = TrainConfig(lam=0.4, inner_iters=5, learning_rate=0.05)
+    eta, ll, posts = per_pair_estep(model, data)
+    updated, _ = em_step_spamhmm(model, data, graph, config, AdamState.zeros(model.beta.shape))
+    reference = MixtureSufficientStats(node_counts=data.node_counts(model.num_nodes), eta=eta,
+                                       blocks=[], nodes=np.array([it.node for it in data.items]),
+                                       log_likelihoods=ll)
+    alpha, beta = _update_scores(model, reference, graph, config,
+                                 AdamState.zeros(model.beta.shape))
+    np.testing.assert_allclose(updated.alpha, alpha, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(updated.beta, beta, rtol=0, atol=ATOL)
+    assert_components_close(updated.components, per_pair_mstep(model, data, eta, posts))
+
+
+def test_pair_densities_equal_one_call_per_pair():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 9):
+        comps = [random_hmm(rng, 3, dim) for _ in range(4)]
+        seqs = [rng.normal(size=(5, dim)) * 3.0 for _ in range(3)]
+        seq = np.array([0, 0, 0, 1, 2, 2])
+        comp = np.array([0, 2, 3, 1, 3, 0])
+        got = pair_log_densities(stack_components(comps), seqs, seq, comp)
+        for b, (i, m) in enumerate(zip(seq, comp)):
+            expected = gaussian_log_densities(seqs[i], comps[m].means, comps[m].variances)
+            assert np.array_equal(got[b], expected)

@@ -68,6 +68,37 @@ class TestRocAuc:
         assert all(a <= b for a, b in zip(tprs, tprs[1:]))
         assert 0.0 <= auc <= 1.0
 
+    @staticmethod
+    def threshold_sweep(scores):
+        """The former O(unique x N) implementation, kept as the oracle."""
+        values = np.array([float(v) for v, _ in scores])
+        anom = np.array([lab == "anomalous" for _, lab in scores])
+        n_anom = int(anom.sum())
+        n_norm = len(scores) - n_anom
+        curve = [(0.0, 0.0)]
+        for v in np.unique(values):
+            flagged = values <= v
+            curve.append((float(np.sum(flagged & ~anom)) / n_norm,
+                          float(np.sum(flagged & anom)) / n_anom))
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        auc = float(trapezoid(np.array([p[1] for p in curve]),
+                              np.array([p[0] for p in curve])))
+        return curve, auc
+
+    def test_matches_threshold_sweep_with_ties(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            # few distinct values, so many scores tie within and across classes
+            vals = rng.integers(-5, 5, size=n) * 0.25
+            labels = ["anomalous" if rng.random() < 0.4 else "normal" for _ in range(n)]
+            labels[0], labels[1] = "normal", "anomalous"
+            scores = list(zip(vals.tolist(), labels))
+            curve, auc = roc_auc(scores)
+            ref_curve, ref_auc = self.threshold_sweep(scores)
+            assert curve == ref_curve
+            assert auc == ref_auc
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             roc_auc([(-1.0, "normal"), (-2.0, "normal")])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from graphhmm import kernels
 from graphhmm.forecast import condition, forecast_mean, predictive_log_likelihood
-from graphhmm.hmm import GaussianHmm, log_likelihood
+from graphhmm.hmm import GaussianHmm, log_likelihood, posteriors
 from graphhmm.mixture import (SequenceDataset, SparseMixtureModel,
                               mixture_log_likelihood, mixture_posteriors,
                               reparameterize_rows)
@@ -36,6 +37,34 @@ class TestCondition:
             _, gamma, _ = enum_posteriors(comp, prefix)
             np.testing.assert_allclose(post.conditional_initials[m], gamma[-1],
                                        rtol=0, atol=1e-9)
+
+    def test_matches_smoothing_each_live_component(self):
+        # the batched forward-only route gives exactly the weights and end
+        # states of full forward-backward smoothing per live component
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            m_count, s_count = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            comps = [random_hmm(rng, s_count, 2, sparse_transitions=True)
+                     for _ in range(m_count)]
+            beta = rng.uniform(-0.5, 1.5, size=(2, m_count))
+            beta[:, 0] = np.abs(beta[:, 0]) + 0.1
+            model = SparseMixtureModel(comps, reparameterize_rows(beta), beta)
+            prefix = rng.normal(size=(int(rng.integers(1, 9)), 2)) * 2.0
+            node = int(rng.integers(1, 3))
+            post = condition(model, prefix, node)
+
+            row = model.alpha[node - 1]
+            log_w = np.full(m_count, -np.inf)
+            initials = np.full((m_count, s_count), 1.0 / s_count)
+            for m in range(m_count):
+                if row[m] > 0.0:
+                    smoothed = posteriors(comps[m], prefix)
+                    log_w[m] = np.log(row[m]) + smoothed.log_likelihood
+                    initials[m] = smoothed.gamma[-1]
+            weights = np.exp(log_w - float(kernels.logsumexp(log_w)))
+            initials[weights == 0.0] = 1.0 / s_count
+            assert np.array_equal(post.weights, weights)
+            assert np.array_equal(post.conditional_initials, initials)
 
     def test_zero_weight_component_is_inert(self):
         rng = np.random.default_rng(2)

@@ -4,10 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from graphhmm.hmm import GaussianHmm
 from graphhmm.mixture import (AffinityGraph, SequenceDataset, SparseMixtureModel,
                               coefficient_gradient, mixture_log_likelihood,
                               mixture_posteriors, regularizer_value, reparameterize,
                               reparameterize_rows, sample_from_node)
+from graphhmm.training import em_step_mhmm
 
 from conftest import enum_mixture_log_likelihood, random_hmm
 
@@ -164,8 +166,43 @@ class TestResponsibilities:
         data = SequenceDataset([(1, rng.normal(size=(3, 1)))])
         stats = mixture_posteriors(model, data)
         assert stats.eta[0, 0] == 0.0
-        assert stats.posteriors[0][0] is None
-        assert stats.posteriors[0][1] is not None
+        live = {(i, m) for b in stats.blocks for i, m in zip(b.seq, b.comp)}
+        assert (0, 0) not in live
+        assert (0, 1) in live
+
+    def test_one_component_at_zero_likelihood_gets_zero_eta(self):
+        # the first component's density overflows to exactly zero; the
+        # second still explains the sequence, so the mixture is finite
+        comps = [GaussianHmm([1.0], [[1.0]], [[0.0]], [[1e-6]]),
+                 GaussianHmm([1.0], [[1.0]], [[0.0]], [[1e300]])]
+        model = SparseMixtureModel(comps, [[0.5, 0.5]])
+        seq = np.array([[1e154]])
+        data = SequenceDataset([(1, seq)])
+        total = mixture_log_likelihood(model, seq, 1)
+        np.testing.assert_allclose(total, -5.0e7, rtol=1e-4)
+        stats = mixture_posteriors(model, data)
+        np.testing.assert_array_equal(stats.eta, [[0.0, 1.0]])
+        assert stats.log_likelihoods[0] == total
+        (block,) = stats.blocks
+        dead = list(zip(block.seq, block.comp)).index((0, 0))
+        assert np.all(block.gamma[dead] == 0.0) and np.all(block.transitions[dead] == 0.0)
+        assert np.all(np.isfinite(block.gamma)) and np.all(np.isfinite(block.transitions))
+
+        warnings = []
+        updated, objective = em_step_mhmm(model, data, warnings)
+        assert objective == total
+        assert updated.components[0] is comps[0]
+        assert any("component 1" in w for w in warnings)
+        np.testing.assert_array_equal(updated.components[1].means, [[1e154]])
+        np.testing.assert_array_equal(updated.alpha, [[0.0, 1.0]])
+
+    def test_zero_likelihood_under_every_component_names_the_record(self):
+        comps = [GaussianHmm([1.0], [[1.0]], [[0.0]], [[1e-6]]),
+                 GaussianHmm([1.0], [[1.0]], [[0.0]], [[1e300]])]
+        model = SparseMixtureModel(comps, [[0.5, 0.5], [1.0, 0.0]])
+        data = SequenceDataset([(1, np.array([[1e154]])), (2, np.array([[1e154]]))])
+        with pytest.raises(ValueError, match=r"record 1 \(node 2\) has zero likelihood"):
+            mixture_posteriors(model, data)
 
     def test_node_bookkeeping(self):
         rng = np.random.default_rng(7)
