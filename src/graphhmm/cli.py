@@ -91,6 +91,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _format_score(score: float) -> str:
+    """A score for the scores CSV: zero likelihood (-inf) is written as -inf."""
+    return "-inf" if score == -np.inf else io.format_float(score)
+
+
+def _finite_mean(values: list):
+    """Mean of the finite values, or None when there are none."""
+    finite = [v for v in values if np.isfinite(v)]
+    return float(np.mean(finite)) if finite else None
+
+
 def _cmd_score(args) -> int:
     model, metadata = io.load_model(args.model)
     dataset = io.load_dataset(args.data)
@@ -99,18 +110,20 @@ def _cmd_score(args) -> int:
     scored = score_dataset(model, dataset)
     if args.scores_out:
         _write_csv(args.scores_out, ["node", "length", "avg_log_likelihood", "label"],
-                   [(s.node, s.length, io.format_float(s.avg_log_likelihood),
+                   [(s.node, s.length, _format_score(s.avg_log_likelihood),
                      s.label if s.label is not None else "") for s in scored])
     labeled = [(s.avg_log_likelihood, s.label) for s in scored if s.label is not None]
+    all_scores = [s.avg_log_likelihood for s in scored]
     summary = {
         "num_sequences": len(scored),
-        "mean_avg_log_likelihood": float(np.mean([s.avg_log_likelihood for s in scored])),
+        "num_zero_likelihood": sum(1 for v in all_scores if v == -np.inf),
+        "mean_avg_log_likelihood": _finite_mean(all_scores),
     }
     for label in ("normal", "anomalous"):
         values = [v for v, lab in labeled if lab == label]
         if values:
             summary[f"num_{label}"] = len(values)
-            summary[f"mean_avg_log_likelihood_{label}"] = float(np.mean(values))
+            summary[f"mean_avg_log_likelihood_{label}"] = _finite_mean(values)
     have_both = (0 < sum(1 for _, lab in labeled if lab == "anomalous") < len(labeled))
     if labeled and not have_both:
         print("warning: labels present but only one class; skipping ROC/AUC",
@@ -125,8 +138,11 @@ def _cmd_score(args) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(io.canonical_dumps(summary))
             fh.write("\n")
+    mean = summary["mean_avg_log_likelihood"]
     line = f"scored {summary['num_sequences']} sequences, mean avg ll " \
-           f"{summary['mean_avg_log_likelihood']:.6f}"
+           + ("n/a" if mean is None else f"{mean:.6f}")
+    if summary["num_zero_likelihood"]:
+        line += f", {summary['num_zero_likelihood']} at zero likelihood"
     if "auc" in summary:
         line += f", auc {summary['auc']:.6f}"
     print(line)

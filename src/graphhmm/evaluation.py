@@ -41,9 +41,11 @@ def roc_auc(scores: list):
     classifying scores at or below the threshold as anomalous; tied scores
     move as one step, so ties across classes produce diagonal segments and
     the trapezoidal area counts them at half weight. Both classes must be
-    present. Returns (curve, auc) where curve is a list of (fpr, tpr) points
-    from (0, 0) to (1, 1). One sort and two running counts give every
-    point, so the cost is O(N log N).
+    present. A score of -inf (a record with zero likelihood) ranks as the
+    most anomalous; tied -inf scores move as one step like any other tie.
+    NaN and +inf raise. Returns (curve, auc) where curve is a list of
+    (fpr, tpr) points from (0, 0) to (1, 1). One sort and two running counts
+    give every point, so the cost is O(N log N).
     """
     values = []
     labels = []
@@ -51,8 +53,8 @@ def roc_auc(scores: list):
         if label not in (NORMAL, ANOMALOUS):
             raise ValueError(f"scores[{i}]: label must be 'normal' or 'anomalous', "
                              f"got {label!r}")
-        if not np.isfinite(score):
-            raise ValueError(f"scores[{i}]: score must be finite, got {score!r}")
+        if not (np.isfinite(score) or score == -np.inf):
+            raise ValueError(f"scores[{i}]: score must be finite or -inf, got {score!r}")
         values.append(float(score))
         labels.append(label)
     values = np.array(values)

@@ -94,15 +94,32 @@ def predictive_log_likelihood(posterior: PosteriorModel, continuation: np.ndarra
     return float(kernels.logsumexp(terms))
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative rows of p, scaled so the last entry of each is exactly 1.0."""
+    c = np.cumsum(p, axis=-1)
+    return c / c[..., -1:]
+
+
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: per row, the number of cdf entries <= u.
+
+    With u in [0, 1) and the last entry exactly 1.0, an entry of zero
+    probability (a flat step of the cdf) is never the result.
+    """
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
 def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,
                   horizon: int, num_samples: int, rng) -> np.ndarray:
     """Monte Carlo posterior-predictive mean, shape (horizon, D).
 
     Each sample draws a component from the posterior weights, an initial
     state from that component's conditioned initial distribution, and then
-    rolls the component forward. A closed-form propagation of the state
-    posterior would avoid the sampling noise; the sampled estimator is kept
-    for now because it matches the evaluation protocol used downstream.
+    rolls the component forward: per step a transition, then an emission.
+    All num_samples trajectories are drawn as one batch, one array step per
+    timestep. A closed-form propagation of the state posterior would avoid
+    the sampling noise; the sampled estimator is kept for now because it
+    matches the evaluation protocol used downstream.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -110,14 +127,14 @@ def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,
         raise ValueError("num_samples must be >= 1")
     post = condition(model, prefix, node)
     rng = np.random.default_rng(rng)
-    m_count = post.num_components
-    acc = np.zeros((horizon, post.dim))
-    for _ in range(num_samples):
-        z = int(rng.choice(m_count, p=post.weights))
-        comp = post.components[z]
-        std = np.sqrt(comp.variances)
-        state = int(rng.choice(comp.num_states, p=post.conditional_initials[z]))
-        for t in range(horizon):
-            state = int(rng.choice(comp.num_states, p=comp.transition[state]))
-            acc[t] += rng.normal(comp.means[state], std[state])
-    return acc / num_samples
+    transition_cdf = _cdf(np.stack([comp.transition for comp in post.components]))
+    means = np.stack([comp.means for comp in post.components])
+    std = np.sqrt(np.stack([comp.variances for comp in post.components]))
+    z = _draw(_cdf(post.weights)[None, :], rng.random(num_samples))
+    state = _draw(_cdf(post.conditional_initials)[z], rng.random(num_samples))
+    out = np.empty((horizon, post.dim))
+    for t in range(horizon):
+        state = _draw(transition_cdf[z, state], rng.random(num_samples))
+        emitted = means[z, state] + std[z, state] * rng.standard_normal((num_samples, post.dim))
+        out[t] = emitted.mean(axis=0)
+    return out

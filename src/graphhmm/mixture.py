@@ -12,6 +12,7 @@ are 1-based as well.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -231,6 +232,14 @@ class MixtureSufficientStats:
     nodes: np.ndarray = None
     log_likelihoods: np.ndarray = None
 
+    @cached_property
+    def eta_by_node(self) -> np.ndarray:
+        """Responsibilities summed per node, shape (K, M); computed once, read-only."""
+        total = np.zeros((self.node_counts.shape[0], self.eta.shape[1]))
+        np.add.at(total, self.nodes - 1, self.eta)
+        total.flags.writeable = False
+        return total
+
 
 def check_node(model: SparseMixtureModel, node: int) -> int:
     if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
@@ -423,11 +432,8 @@ def coefficient_gradient(alpha: np.ndarray, beta: np.ndarray,
     """
     if beta is None:
         raise ValueError("model has no score parameterization (beta is None)")
-    k_count, m_count = alpha.shape
     n = stats.eta.shape[0]
-    psi = np.zeros((k_count, m_count))
-    np.add.at(psi, stats.nodes - 1, stats.eta)
-    psi -= stats.node_counts[:, None] * alpha
+    psi = stats.eta_by_node - stats.node_counts[:, None] * alpha
     psi /= n
     overlap = alpha @ alpha.T
     cross = np.sum(graph.weights * overlap, axis=1)

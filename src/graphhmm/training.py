@@ -213,10 +213,8 @@ def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset,
     stats = mixture_posteriors(model, dataset)
     objective = float(np.sum(stats.log_likelihoods))
     alpha = model.alpha.copy()
-    eta_by_node = np.zeros_like(alpha)
-    np.add.at(eta_by_node, stats.nodes - 1, stats.eta)
     has_data = stats.node_counts > 0
-    alpha[has_data] = eta_by_node[has_data] / stats.node_counts[has_data, None]
+    alpha[has_data] = stats.eta_by_node[has_data] / stats.node_counts[has_data, None]
     for k in np.flatnonzero(~has_data):
         _warn(warnings, f"node {k + 1}: no training sequences, mixing row left unchanged")
     components = _reestimate_components(model, dataset, stats, warnings)
@@ -292,7 +290,10 @@ def _kmeans(frames: np.ndarray, k: int, rng: np.random.Generator,
     centers = _kmeans_plus_plus(frames, k, rng)
     labels = None
     for _ in range(max_iters):
-        d2 = np.sum((frames[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        # one feature at a time into one (N, k) array; no (N, k, D) array is built
+        d2 = np.zeros((frames.shape[0], k))
+        for j in range(frames.shape[1]):
+            d2 += (frames[:, None, j] - centers[None, :, j]) ** 2
         new_labels = np.argmin(d2, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break

@@ -204,6 +204,32 @@ class TestScore:
         doc = json.loads(summary.read_text())
         assert "auc" not in doc and doc["num_normal"] == 12
 
+    def test_zero_likelihood_record_is_scored_most_anomalous(self, tmp_path, capsys):
+        # an observation of 1e154 overflows the one state's density to -inf
+        model = tmp_path / "model.json"
+        write_spec_model(model, [[1.0]], [0.0], variances=[1e-6])
+        data = tmp_path / "data.jsonl"
+        io.save_dataset(SequenceDataset([(1, [[0.0]], "normal"), (1, [[1e154]], "anomalous"),
+                                         (1, [[0.001]], "normal"),
+                                         (1, [[0.0005]], "anomalous")]), str(data))
+        scores, roc, summary = tmp_path / "s.csv", tmp_path / "roc.csv", tmp_path / "sum.json"
+        assert main(["score", "--model", str(model), "--data", str(data),
+                     "--scores-out", str(scores), "--roc-out", str(roc),
+                     "--json-out", str(summary)]) == 0
+        assert "1 at zero likelihood" in capsys.readouterr().out
+        rows = read_csv_rows(scores)
+        assert rows[2] == ["1", "1", "-inf", "anomalous"]
+        assert all(np.isfinite(float(r[2])) for i, r in enumerate(rows[1:]) if i != 1)
+        doc = json.loads(summary.read_text())
+        assert doc["num_zero_likelihood"] == 1
+        finite = [float(rows[i][2]) for i in (1, 3, 4)]
+        assert doc["mean_avg_log_likelihood"] == float(np.mean(finite))
+        assert doc["mean_avg_log_likelihood_anomalous"] == finite[2]
+        # the -inf record is flagged first: the curve's first step is all anomalous
+        roc_rows = [[float(v) for v in r] for r in read_csv_rows(roc)[1:]]
+        assert roc_rows[:2] == [[0.0, 0.0], [0.0, 0.5]]
+        assert doc["auc"] == 0.75
+
     def test_standardized_model_transforms_input(self, small_corpus):
         d = small_corpus["dir"]
         model = d / "std_model.json"

@@ -111,6 +111,27 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="finite"):
             roc_auc([(np.nan, "normal"), (-2.0, "anomalous")])
 
+    def test_positive_infinity_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc([(np.inf, "normal"), (-2.0, "anomalous")])
+
+    def test_zero_likelihood_ranks_most_anomalous(self):
+        scores = [(-1.0, "normal"), (-np.inf, "anomalous"), (-2.0, "anomalous"),
+                  (-3.0, "normal")]
+        curve, auc = roc_auc(scores)
+        assert curve[1] == (0.0, 0.5)
+        assert auc == 0.75
+
+    def test_tied_zero_likelihood_scores_are_one_step(self):
+        scores = [(-np.inf, "normal"), (-np.inf, "anomalous"), (-np.inf, "anomalous"),
+                  (-1.0, "normal")]
+        curve, auc = roc_auc(scores)
+        assert curve == [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)]
+        assert auc == 0.75
+        # -inf orders like a very low finite score
+        assert roc_auc([(-1e300 if s == -np.inf else s, lab) for s, lab in scores]) \
+            == (curve, auc)
+
 
 class TestScoreDataset:
     def test_per_timestep_normalization(self):

@@ -4,13 +4,33 @@ import numpy as np
 import pytest
 
 from graphhmm import kernels
-from graphhmm.forecast import condition, forecast_mean, predictive_log_likelihood
+from graphhmm.forecast import (_cdf, _draw, condition, forecast_mean,
+                               predictive_log_likelihood)
 from graphhmm.hmm import GaussianHmm, log_likelihood, posteriors
 from graphhmm.mixture import (SequenceDataset, SparseMixtureModel,
                               mixture_log_likelihood, mixture_posteriors,
                               reparameterize_rows)
 
 from conftest import enum_posteriors, random_hmm
+
+
+def predictive_moments(post, horizon):
+    """Closed-form mean and variance of each forecast step, shape (horizon, D).
+
+    Propagates each weighted component's conditioned state distribution
+    through its transition matrix and mixes the per-state Gaussian moments
+    by the posterior weights.
+    """
+    mean = np.zeros((horizon, post.dim))
+    second = np.zeros((horizon, post.dim))
+    for weight, comp, dist in zip(post.weights, post.components, post.conditional_initials):
+        if weight == 0.0:
+            continue
+        for t in range(horizon):
+            dist = dist @ comp.transition
+            mean[t] += weight * (dist @ comp.means)
+            second[t] += weight * (dist @ (comp.variances + comp.means ** 2))
+    return mean, np.maximum(second - mean ** 2, 0.0)
 
 
 def make_mixture(rng, k=1, m=2, s=2, d=1):
@@ -165,6 +185,75 @@ class TestForecastMean:
         prefix = rng.normal(size=(3, 1))
         out = forecast_mean(model, prefix, 1, horizon=3, num_samples=200, rng=13)
         assert np.all(np.abs(out) < 10.0)
+
+    def test_matches_closed_form_predictive_mean(self):
+        # sparse transitions and one inert component whose means sit far away:
+        # a draw of it, or a wrong batch step, shows as many standard errors
+        rng = np.random.default_rng(15)
+        samples = 400
+        for case in range(20):
+            m_count, s_count = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            dim = int(rng.integers(1, 3))
+            comps = [random_hmm(rng, s_count, dim, sparse_transitions=True)
+                     for _ in range(m_count)]
+            inert = int(rng.integers(m_count))
+            far = comps[inert]
+            comps[inert] = GaussianHmm(far.initial, far.transition, far.means + 1e6,
+                                       far.variances)
+            beta = rng.uniform(0.2, 1.5, size=(2, m_count))
+            beta[:, inert] = -1.0
+            model = SparseMixtureModel(comps, reparameterize_rows(beta), beta)
+            prefix = rng.normal(size=(int(rng.integers(1, 6)), dim)) * 2.0
+            horizon = int(rng.integers(1, 6))
+            post = condition(model, prefix, 1)
+            assert post.inert[inert]
+            out = forecast_mean(model, prefix, 1, horizon, samples, rng=case)
+            mean, var = predictive_moments(post, horizon)
+            z = np.abs(out - mean) / np.sqrt(var / samples + 1e-300)
+            assert np.max(z) < 6.0, f"case {case}: {np.max(z):.2f} standard errors"
+
+    def test_spread_across_seeds_is_monte_carlo_error(self):
+        # the estimator's own spread: over many seeds the forecast mean of one
+        # step scatters by sqrt(predictive variance / num_samples)
+        comp = GaussianHmm([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
+                           [[-1.0, 0.0], [1.0, 3.0]], [[4.0, 0.25], [1.0, 0.25]])
+        model = SparseMixtureModel([comp], [[1.0]])
+        prefix = np.array([[0.5, 1.0]])
+        samples = 50
+        _, var = predictive_moments(condition(model, prefix, 1), 1)
+        outs = np.array([forecast_mean(model, prefix, 1, 1, samples, rng=seed)[0]
+                         for seed in range(400)])
+        np.testing.assert_allclose(outs.std(axis=0, ddof=1), np.sqrt(var[0] / samples),
+                                   rtol=0.15)
+
+    def test_unreachable_trailing_state_never_entered(self):
+        # the last state has zero initial and zero incoming probability, and
+        # the last component has zero weight: rows end in zeros, so a cdf whose
+        # last entry fell short of 1.0 could hand out the state at 1e6
+        reach = GaussianHmm([0.5, 0.5, 0.0],
+                            [[0.3, 0.7, 0.0], [0.6, 0.4, 0.0], [0.2, 0.3, 0.5]],
+                            [[0.0], [1.0], [1e6]], [[0.5], [0.5], [0.5]])
+        far = GaussianHmm([1.0, 0.0, 0.0], np.eye(3), [[1e6], [1e6], [1e6]],
+                          [[0.5], [0.5], [0.5]])
+        model = SparseMixtureModel([reach, far], [[1.0, 0.0]], beta=[[1.0, 0.0]])
+        prefix = np.array([[0.2], [0.9], [0.1]])
+        post = condition(model, prefix, 1)
+        assert post.conditional_initials[0, 2] == 0.0 and post.weights[1] == 0.0
+        out = forecast_mean(model, prefix, 1, horizon=8, num_samples=2000, rng=16)
+        assert np.all(np.abs(out) < 10.0)
+        mean, var = predictive_moments(post, 8)
+        assert np.max(np.abs(out - mean) / np.sqrt(var / 2000)) < 6.0
+
+    def test_inverse_cdf_skips_zero_probability_entries(self):
+        below_one = np.nextafter(1.0, 0.0)
+        # a row that sums to 1 - 5e-10 passes validation; its scaled cdf still
+        # ends at exactly 1.0, so the largest uniform stays off the trailing zero
+        p = np.array([[0.0, 0.3, 0.0, 0.7 - 5e-10, 0.0]])
+        cdf = _cdf(p)
+        assert cdf[0, -1] == 1.0
+        # u on a flat step of the cdf goes past the zero-probability entry
+        u = np.array([0.0, cdf[0, 1], 0.5, below_one])
+        np.testing.assert_array_equal(_draw(np.repeat(cdf, 4, axis=0), u), [1, 3, 3, 3])
 
     def test_validation(self):
         rng = np.random.default_rng(14)

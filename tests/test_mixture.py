@@ -308,6 +308,36 @@ class TestGradient:
         grad = coefficient_gradient(model.alpha, model.beta, stats, graph, 0.5)
         assert grad[0, 1] == 0.0
 
+    def test_per_node_sum_computed_once_and_left_intact(self):
+        # the gradient reads the E-step's per-node responsibility sum; it must
+        # equal the per-call sum it replaced, bit for bit, and stay unchanged
+        rng = np.random.default_rng(15)
+        k, m, lam = 4, 3, 0.3
+        beta = rng.uniform(-0.3, 1.5, size=(k, m))
+        beta[:, 0] = np.abs(beta[:, 0]) + 0.1
+        model = make_mixture(rng, k=k, m=m, s=2, d=1, beta=beta)
+        w = np.triu(rng.uniform(-1, 1, size=(k, k)), 1)
+        graph = AffinityGraph(w + w.T)
+        data = SequenceDataset([(int(rng.integers(1, k)), rng.normal(size=(3, 1)))
+                                for _ in range(9)])  # node k has no data
+        stats = mixture_posteriors(model, data)
+        expected = np.zeros((k, m))
+        np.add.at(expected, stats.nodes - 1, stats.eta)
+        cached = stats.eta_by_node
+        assert np.array_equal(cached, expected)
+        assert not cached.flags.writeable
+        psi = (expected - stats.node_counts[:, None] * model.alpha) / len(data)
+        overlap = model.alpha @ model.alpha.T
+        cross = np.sum(graph.weights * overlap, axis=1)
+        omega = model.alpha * (graph.weights @ model.alpha - cross[:, None])
+        pull = psi + lam * omega
+        ref = np.where(beta > 0.0, (2.0 / np.where(beta > 0.0, beta, 1.0)) * pull, 0.0)
+        for _ in range(3):
+            grad = coefficient_gradient(model.alpha, model.beta, stats, graph, lam)
+            assert np.array_equal(grad, ref)
+        assert stats.eta_by_node is cached
+        assert np.array_equal(cached, expected)
+
     def test_requires_beta(self):
         rng = np.random.default_rng(12)
         comps = [random_hmm(rng, 2, 1)]

@@ -9,8 +9,8 @@ from graphhmm.mixture import (AffinityGraph, SequenceDataset, SparseMixtureModel
                               regularizer_value, reparameterize_rows)
 from graphhmm.training import (AdamState, FitResult, InitSpec, TrainConfig,
                                _update_scores, baseline_state_counts, em_step_mhmm,
-                               em_step_spamhmm, fit, fit_per_node, fit_single_hmm,
-                               initialize_model)
+                               _kmeans, _kmeans_plus_plus, em_step_spamhmm, fit,
+                               fit_per_node, fit_single_hmm, initialize_model)
 
 from conftest import enum_posteriors, random_hmm
 
@@ -235,6 +235,39 @@ class TestInitialization:
         model = initialize_model(data, 1, 1, 2, rng_seed=0, with_scores=False)
         means = np.sort(model.components[0].means.ravel())
         assert abs(means[0] - (-5.0)) < 0.5 and abs(means[1] - 5.0) < 0.5
+
+    @staticmethod
+    def kmeans_oracle(frames, k, rng, max_iters=100):
+        """Lloyd iterations with the (N, k, D) distance array summed over features."""
+        centers = _kmeans_plus_plus(frames, k, rng)
+        labels = None
+        for _ in range(max_iters):
+            d2 = np.sum((frames[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for j in range(k):
+                members = frames[labels == j]
+                if members.shape[0] > 0:
+                    centers[j] = members.mean(axis=0)
+        return centers
+
+    def test_kmeans_matches_summed_distances(self):
+        # below 8 features numpy sums a row of squares in plain order, so the
+        # per-feature accumulation gives the same distances bit for bit
+        rng = np.random.default_rng(15)
+        for case in range(70):
+            dim = case % 7 + 1
+            n, k = int(rng.integers(5, 120)), int(rng.integers(1, 6))
+            frames = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+            if case % 2:
+                # coarse values and duplicated frames give tied distances
+                frames = np.round(frames, 1)
+                frames[n // 2:] = frames[:n - n // 2]
+            got = _kmeans(frames, k, np.random.default_rng(case))
+            expected = self.kmeans_oracle(frames, k, np.random.default_rng(case))
+            assert np.array_equal(got, expected)
 
     def test_too_few_frames(self):
         rng = np.random.default_rng(14)
