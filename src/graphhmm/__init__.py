@@ -19,8 +19,7 @@ from .io import (load_dataset, load_graph, load_model, load_stats, save_dataset,
 from .mixture import (AffinityGraph, MixtureSufficientStats, PairBlock, SequenceDataset,
                       SequenceItem, SparseMixtureModel, coefficient_gradient,
                       mixture_log_likelihood, mixture_log_likelihoods, mixture_posteriors,
-                      regularizer_value, reparameterize, reparameterize_rows,
-                      sample_from_node)
+                      regularizer_value, reparameterize_rows, sample_from_node)
 from .training import (AdamState, FitResult, InitSpec, TrainConfig,
                        baseline_state_counts, em_step_mhmm, em_step_spamhmm, fit,
                        fit_per_node, fit_single_hmm, initialize_model)
@@ -38,6 +37,6 @@ __all__ = [
     "log_likelihood", "mixture_log_likelihood", "mixture_log_likelihoods",
     "mixture_posteriors", "posteriors",
     "predictive_log_likelihood", "regularizer_value", "relative_sparsity",
-    "reparameterize", "reparameterize_rows", "roc_auc", "sample", "sample_from_node",
+    "reparameterize_rows", "roc_auc", "sample", "sample_from_node",
     "save_dataset", "save_graph", "save_model", "save_stats", "score_dataset",
 ]

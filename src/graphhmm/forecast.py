@@ -14,22 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .hmm import validate_sequence
-from .mixture import (SparseMixtureModel, StackedComponents, check_node, pair_log_densities,
-                      stack_components)
+from .hmm import GaussianHmm, log_params, validate_sequence
+from .mixture import SparseMixtureModel, check_node, pair_log_densities
 
 
 @dataclass
 class PosteriorModel:
     """A mixture conditioned on one prefix.
 
-    weights[m] = P(component m | prefix, node); conditional_initials[m] is
-    that component's state distribution at the prefix end. Components with
+    components is the model's stack, shared. weights[m] = P(component m |
+    prefix, node); conditional_initials[m] is that component's state
+    distribution at the prefix end. Components with
     weight exactly zero carry a uniform placeholder row and are flagged in
     ``inert``; they are skipped by scoring and never sampled.
     """
 
-    components: list
+    components: GaussianHmm
     weights: np.ndarray
     conditional_initials: np.ndarray
     inert: np.ndarray
@@ -40,17 +40,17 @@ class PosteriorModel:
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.components.dim
 
 
-def _end_forward(stacked: StackedComponents, log_init: np.ndarray, seq: np.ndarray,
-                 comps: np.ndarray) -> np.ndarray:
+def _end_forward(components: GaussianHmm, comps: np.ndarray, log_init: np.ndarray,
+                 seq: np.ndarray) -> np.ndarray:
     """Last forward row (L, S) of seq under each of the components comps.
 
     log_init is the (L, S) log initial distribution of each component.
     """
-    log_obs = pair_log_densities(stacked, [seq], np.zeros(comps.size, dtype=np.int64), comps)
-    return kernels.forward_pairs(log_init, stacked.log_transition[comps], log_obs)[:, -1]
+    log_obs = pair_log_densities(components, [seq], np.zeros_like(comps), comps)
+    return kernels.forward_pairs(log_init, log_params(components[comps])[1], log_obs)[:, -1]
 
 
 def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> PosteriorModel:
@@ -66,9 +66,9 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
     s_count = model.num_states
     row = model.alpha[node - 1]
     comps = np.flatnonzero(row > 0.0)
-    stacked = stack_components(model.components)
     end = np.full((m_count, s_count), -np.inf)
-    end[comps] = _end_forward(stacked, stacked.log_initial[comps], prefix, comps)
+    log_init = log_params(model.components[comps])[0]
+    end[comps] = _end_forward(model.components, comps, log_init, prefix)
     comp_ll = kernels.logsumexp(end, axis=1)
     log_w = np.full(m_count, -np.inf)
     log_w[comps] = np.log(row[comps]) + comp_ll[comps]
@@ -79,7 +79,7 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
     inert = weights == 0.0
     initials = np.full((m_count, s_count), 1.0 / s_count)
     initials[~inert] = np.exp(end[~inert] - comp_ll[~inert, None])
-    return PosteriorModel(components=list(model.components), weights=weights,
+    return PosteriorModel(components=model.components, weights=weights,
                           conditional_initials=initials, inert=inert)
 
 
@@ -89,7 +89,7 @@ def predictive_log_likelihood(posterior: PosteriorModel, continuation: np.ndarra
     comps = np.flatnonzero(posterior.weights != 0.0)
     with np.errstate(divide="ignore"):
         log_init = np.log(posterior.conditional_initials[comps])
-    end = _end_forward(stack_components(posterior.components), log_init, continuation, comps)
+    end = _end_forward(posterior.components, comps, log_init, continuation)
     terms = np.log(posterior.weights[comps]) + kernels.logsumexp(end, axis=1)
     return float(kernels.logsumexp(terms))
 
@@ -127,9 +127,9 @@ def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,
         raise ValueError("num_samples must be >= 1")
     post = condition(model, prefix, node)
     rng = np.random.default_rng(rng)
-    transition_cdf = _cdf(np.stack([comp.transition for comp in post.components]))
-    means = np.stack([comp.means for comp in post.components])
-    std = np.sqrt(np.stack([comp.variances for comp in post.components]))
+    transition_cdf = _cdf(post.components.transition)
+    means = post.components.means
+    std = np.sqrt(post.components.variances)
     z = _draw(_cdf(post.weights)[None, :], rng.random(num_samples))
     state = _draw(_cdf(post.conditional_initials)[z], rng.random(num_samples))
     out = np.empty((horizon, post.dim))

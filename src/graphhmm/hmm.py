@@ -3,7 +3,8 @@
 A model over a length-T sequence has hidden states at t = 0..T. The state at
 t = 0 is drawn from the initial distribution and emits nothing; every later
 state emits one observation from a diagonal Gaussian. All inference runs in
-log space, so long sequences cannot underflow.
+log space, so long sequences cannot underflow. A GaussianHmm may also hold
+a stack of equally shaped HMMs; inference and sampling take a single one.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,17 @@ def check_rows_normalized(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must sum to 1 within {ROW_SUM_TOL:g}, got sums {sums}")
 
 
+def _check_values(hmm: "GaussianHmm") -> None:
+    for arr, name in ((hmm.initial, "initial"), (hmm.transition, "transition"),
+                      (hmm.means, "means"), (hmm.variances, "variances")):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite values")
+    check_rows_normalized(hmm.initial, "initial")
+    check_rows_normalized(hmm.transition, "transition")
+    if np.any(hmm.variances < VARIANCE_FLOOR):
+        raise ValueError(f"variances must be >= {VARIANCE_FLOOR:g}")
+
+
 @dataclass
 class GaussianHmm:
     """HMM with a non-emitting initial state and diagonal Gaussian emissions.
@@ -36,6 +48,11 @@ class GaussianHmm:
         legal and are kept as -inf in log space, never replaced by an epsilon.
     means : (S, D) per-state emission means.
     variances : (S, D) per-state diagonal variances, each >= VARIANCE_FLOOR.
+
+    A stack of M equally shaped HMMs carries a leading component axis on
+    every array, is checked in one pass, and an error names the first
+    failing component, 1-based. ``stack[m]`` is component m, an unchecked
+    view of the checked arrays; ``len()`` and iteration run over components.
 
     Instances are treated as immutable; training code builds new ones.
     """
@@ -50,30 +67,51 @@ class GaussianHmm:
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
         self.variances = np.atleast_2d(np.asarray(self.variances, dtype=np.float64))
-        s = self.initial.shape[0]
-        if self.transition.shape != (s, s):
-            raise ValueError(f"transition must be ({s}, {s}), got {self.transition.shape}")
-        if self.means.ndim != 2 or self.means.shape[0] != s:
-            raise ValueError(f"means must be ({s}, D), got {self.means.shape}")
+        if self.initial.ndim not in (1, 2):
+            raise ValueError(f"initial must be (S,) or (M, S), got {self.initial.shape}")
+        lead, s = self.initial.shape[:-1], self.initial.shape[-1]
+        if self.transition.shape != lead + (s, s):
+            raise ValueError(f"transition must be {lead + (s, s)}, got {self.transition.shape}")
+        if self.means.shape[:-1] != lead + (s,):
+            raise ValueError(f"means must be {lead + (s,)} + (D,), got {self.means.shape}")
         if self.variances.shape != self.means.shape:
             raise ValueError(
                 f"variances shape {self.variances.shape} != means shape {self.means.shape}")
-        for arr, name in ((self.initial, "initial"), (self.transition, "transition"),
-                          (self.means, "means"), (self.variances, "variances")):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-        check_rows_normalized(self.initial, "initial")
-        check_rows_normalized(self.transition, "transition")
-        if np.any(self.variances < VARIANCE_FLOOR):
-            raise ValueError(f"variances must be >= {VARIANCE_FLOOR:g}")
+        try:
+            _check_values(self)
+        except ValueError:
+            for m, comp in enumerate(self if lead else []):  # name the failing component
+                try:
+                    _check_values(comp)
+                except ValueError as exc:
+                    raise ValueError(f"component {m + 1}: {exc}") from None
+            raise
+
+    def __len__(self) -> int:
+        if self.initial.ndim == 1:
+            raise TypeError("a single HMM has no components")
+        return self.initial.shape[0]
+
+    def __getitem__(self, index) -> "GaussianHmm":
+        if self.initial.ndim == 1:
+            raise TypeError("a single HMM has no components")
+        view = object.__new__(GaussianHmm)
+        view.initial, view.transition = self.initial[index], self.transition[index]
+        view.means, view.variances = self.means[index], self.variances[index]
+        return view
 
     @property
     def num_states(self) -> int:
-        return self.initial.shape[0]
+        return self.initial.shape[-1]
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
+
+
+def _require_single(hmm: GaussianHmm) -> None:
+    if hmm.initial.ndim != 1:
+        raise ValueError(f"expected a single HMM, got a stack of {len(hmm)} components")
 
 
 @dataclass
@@ -91,7 +129,7 @@ class StatePosteriors:
 
 
 def log_params(hmm: GaussianHmm):
-    """Return (log initial, log transition) with exact -inf at zeros."""
+    """Return (log initial, log transition) with exact -inf at zeros; stacks too."""
     with np.errstate(divide="ignore"):
         return np.log(hmm.initial), np.log(hmm.transition)
 
@@ -112,13 +150,14 @@ def gaussian_log_densities(seq: np.ndarray, means: np.ndarray,
     return -0.5 * (log_norm[..., None, :] + quad)
 
 
-def validate_sequence(seq: np.ndarray, dim: int) -> np.ndarray:
+def validate_sequence(seq: np.ndarray, dim: int = None) -> np.ndarray:
+    """A non-empty, finite (T, D) float array, with D == dim when dim is given."""
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 2:
         raise ValueError(f"sequence must be 2-d (T, D), got shape {seq.shape}")
     if seq.shape[0] < 1:
         raise ValueError("sequence must contain at least one observation")
-    if seq.shape[1] != dim:
+    if dim is not None and seq.shape[1] != dim:
         raise ValueError(f"sequence has dimension {seq.shape[1]}, model expects {dim}")
     if not np.all(np.isfinite(seq)):
         raise ValueError("sequence contains non-finite values")
@@ -127,6 +166,7 @@ def validate_sequence(seq: np.ndarray, dim: int) -> np.ndarray:
 
 def log_likelihood(hmm: GaussianHmm, seq: np.ndarray) -> float:
     """Exact log p(sequence | hmm), marginalizing over all state paths."""
+    _require_single(hmm)
     seq = validate_sequence(seq, hmm.dim)
     log_pi, log_a = log_params(hmm)
     log_obs = gaussian_log_densities(seq, hmm.means, hmm.variances)
@@ -136,6 +176,7 @@ def log_likelihood(hmm: GaussianHmm, seq: np.ndarray) -> float:
 
 def posteriors(hmm: GaussianHmm, seq: np.ndarray) -> StatePosteriors:
     """Forward-backward smoothing: state and transition posteriors."""
+    _require_single(hmm)
     seq = validate_sequence(seq, hmm.dim)
     log_pi, log_a = log_params(hmm)
     log_obs = gaussian_log_densities(seq, hmm.means, hmm.variances)
@@ -155,6 +196,7 @@ def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
     ``rng`` is an integer seed or a ``numpy.random.Generator``; passing a
     generator threads one stream through nested sampling calls.
     """
+    _require_single(hmm)
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(rng)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .hmm import GaussianHmm
-from .mixture import AffinityGraph, SequenceDataset, SparseMixtureModel
+from .mixture import AffinityGraph, SequenceDataset, SparseMixtureModel, check_record
 
 FORMAT_VERSION = 1
 
@@ -66,18 +66,15 @@ def canonical_dumps(obj) -> str:
 
 
 def _float_rows(arr: np.ndarray) -> list:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        return [float(v) for v in arr]
-    return [[float(v) for v in row] for row in arr]
+    return np.asarray(arr, dtype=np.float64).tolist()
 
 
 # ---------------------------------------------------------------------------
 # datasets (JSON Lines: one {"node": ..., "seq": [[...]], "label": ...?} per line)
 
 def load_dataset(path: str) -> SequenceDataset:
+    """Parse a JSON Lines dataset; check_record checks each record."""
     items = []
-    dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -90,9 +87,6 @@ def load_dataset(path: str) -> SequenceDataset:
             if not isinstance(rec, dict) or "node" not in rec or "seq" not in rec:
                 raise ValueError(f"{path}:{lineno}: record must be an object with "
                                  f"'node' and 'seq' fields")
-            node = rec["node"]
-            if not isinstance(node, int) or isinstance(node, bool) or node < 1:
-                raise ValueError(f"{path}:{lineno}: 'node' must be an integer >= 1")
             seq = rec["seq"]
             if (not isinstance(seq, list) or not seq
                     or not all(isinstance(row, list) for row in seq)):
@@ -104,17 +98,11 @@ def load_dataset(path: str) -> SequenceDataset:
                 arr = np.array(seq, dtype=np.float64)
             except (TypeError, ValueError):
                 raise ValueError(f"{path}:{lineno}: 'seq' must contain only numbers") from None
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{path}:{lineno}: 'seq' contains non-finite values")
-            if dim is None:
-                dim = arr.shape[1]
-            elif arr.shape[1] != dim:
-                raise ValueError(f"{path}:{lineno}: dimension {arr.shape[1]} differs from "
-                                 f"earlier lines ({dim})")
-            label = rec.get("label")
-            if label is not None and label not in ("normal", "anomalous"):
-                raise ValueError(f"{path}:{lineno}: 'label' must be 'normal' or 'anomalous'")
-            items.append((node, arr, label))
+            dim = items[0].seq.shape[1] if items else None
+            try:
+                items.append(check_record(rec["node"], arr, rec.get("label"), dim))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not items:
         raise ValueError(f"{path}: dataset contains no sequences")
     return SequenceDataset(items)
@@ -215,26 +203,21 @@ def load_model(path: str):
         beta = np.asarray(beta, dtype=np.float64)
         if beta.shape != (k, m):
             raise ValueError(f"{path}: beta must be {k}x{m}, got {beta.shape}")
-    if len(doc["components"]) != m:
-        raise ValueError(f"{path}: expected {m} components, got {len(doc['components'])}")
-    components = []
-    for idx, comp in enumerate(doc["components"]):
-        for key in ("initial", "transition", "means", "variances"):
-            if key not in comp:
-                raise ValueError(f"{path}: component {idx + 1} missing '{key}'")
+    arrays = []
+    for key, shape in (("initial", (m, s)), ("transition", (m, s, s)),
+                       ("means", (m, s, d)), ("variances", (m, s, d))):
         try:
-            hmm = GaussianHmm(np.asarray(comp["initial"], dtype=np.float64),
-                              np.asarray(comp["transition"], dtype=np.float64),
-                              np.asarray(comp["means"], dtype=np.float64),
-                              np.asarray(comp["variances"], dtype=np.float64))
-        except ValueError as exc:
-            raise ValueError(f"{path}: component {idx + 1}: {exc}") from None
-        if hmm.num_states != s or hmm.dim != d:
-            raise ValueError(f"{path}: component {idx + 1} has (S={hmm.num_states}, "
-                             f"D={hmm.dim}), file declares (S={s}, D={d})")
-        components.append(hmm)
+            arr = np.asarray([comp[key] for comp in doc["components"]], dtype=np.float64)
+        except KeyError:
+            raise ValueError(f"{path}: a component is missing '{key}'") from None
+        except (TypeError, ValueError):
+            arr = None  # ragged or not numbers
+        if arr is None or arr.shape != shape:
+            raise ValueError(f"{path}: the components' '{key}' arrays must be "
+                             f"{'x'.join(map(str, shape))} as the header declares")
+        arrays.append(arr)
     try:
-        model = SparseMixtureModel(components, alpha, beta)
+        model = SparseMixtureModel(GaussianHmm(*arrays), alpha, beta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     metadata = doc.get("metadata", {})

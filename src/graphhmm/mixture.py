@@ -8,7 +8,8 @@ which can drive coefficients exactly to zero.
 
 Node ids are 1-based throughout the public API, matching the file formats;
 component indices returned to callers (sampling traces, cluster labels)
-are 1-based as well.
+are 1-based as well. The dictionary is one GaussianHmm stack with a leading
+component axis, which the E-step, scoring and forecasting index directly.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .hmm import (check_rows_normalized, gaussian_log_densities, log_params, sample,
-                  validate_sequence)
+from .hmm import (GaussianHmm, check_rows_normalized, gaussian_log_densities, log_params,
+                  sample, validate_sequence)
 
 # Live pairs per block: one recursion step then covers about BLOCK_CELLS
 # (pair, state, state) cells, whatever the state count.
@@ -68,6 +69,18 @@ class SequenceItem(NamedTuple):
     label: Optional[str] = None
 
 
+def check_record(node, seq, label=None, dim: int = None) -> SequenceItem:
+    """One checked dataset record (dim: that of earlier records); callers prefix errors."""
+    if not isinstance(node, (int, np.integer)) or isinstance(node, bool) or node < 1:
+        raise ValueError(f"'node' must be an integer >= 1, got {node!r}")
+    if label is not None and label not in ("normal", "anomalous"):
+        raise ValueError(f"'label' must be 'normal' or 'anomalous', got {label!r}")
+    seq = validate_sequence(seq)
+    if dim is not None and seq.shape[1] != dim:
+        raise ValueError(f"dimension {seq.shape[1]} differs from earlier records ({dim})")
+    return SequenceItem(int(node), seq, label)
+
+
 @dataclass
 class SequenceDataset:
     """Sequences tagged with the 1-based id of the node that produced them.
@@ -80,25 +93,12 @@ class SequenceDataset:
 
     def __post_init__(self):
         checked = []
-        dim = None
         for i, item in enumerate(self.items):
-            node, seq = item[0], item[1]
-            label = item[2] if len(item) > 2 else None
-            if not isinstance(node, (int, np.integer)) or isinstance(node, bool) or node < 1:
-                raise ValueError(f"item {i}: node id must be an integer >= 1, got {node!r}")
-            if label is not None and label not in ("normal", "anomalous"):
-                raise ValueError(f"item {i}: label must be 'normal' or 'anomalous', got {label!r}")
-            seq = np.asarray(seq, dtype=np.float64)
-            if seq.ndim != 2 or seq.shape[0] < 1:
-                raise ValueError(f"item {i}: sequence must be a non-empty (T, D) array")
-            if not np.all(np.isfinite(seq)):
-                raise ValueError(f"item {i}: sequence contains non-finite values")
-            if dim is None:
-                dim = seq.shape[1]
-            elif seq.shape[1] != dim:
-                raise ValueError(
-                    f"item {i}: dimension {seq.shape[1]} differs from earlier items ({dim})")
-            checked.append(SequenceItem(int(node), seq, label))
+            dim = checked[0].seq.shape[1] if checked else None
+            try:
+                checked.append(check_record(*item[:3], dim=dim))
+            except ValueError as exc:
+                raise ValueError(f"item {i}: {exc}") from None
         if not checked:
             raise ValueError("dataset contains no sequences")
         self.items = checked
@@ -113,14 +113,6 @@ class SequenceDataset:
     @property
     def max_node(self) -> int:
         return max(item.node for item in self.items)
-
-    def node_counts(self, num_nodes: int) -> np.ndarray:
-        counts = np.zeros(num_nodes, dtype=np.int64)
-        for item in self.items:
-            if item.node > num_nodes:
-                raise ValueError(f"node id {item.node} exceeds declared node count {num_nodes}")
-            counts[item.node - 1] += 1
-        return counts
 
     def frames(self) -> np.ndarray:
         return np.concatenate([item.seq for item in self.items], axis=0)
@@ -141,34 +133,35 @@ def reparameterize_rows(beta: np.ndarray) -> np.ndarray:
     return r / total
 
 
-def reparameterize(beta_row: np.ndarray) -> np.ndarray:
-    """Map one score row to mixing coefficients (see reparameterize_rows)."""
-    return reparameterize_rows(beta_row)
-
-
 @dataclass
 class SparseMixtureModel:
     """K nodes sharing M HMM components through per-node mixing rows.
 
-    alpha is (K, M) row-stochastic. beta, when present, holds the score
-    parameterization and alpha must equal reparameterize_rows(beta) exactly;
-    models trained without the graph regularizer carry beta = None.
+    components is one GaussianHmm stack of the M components; a list of
+    equally shaped single HMMs is stacked once here, and components[m] is
+    component m. alpha is (K, M) row-stochastic. beta, when present, holds
+    the score parameterization and alpha must equal reparameterize_rows(beta)
+    exactly; models trained without the graph regularizer carry beta = None.
     """
 
-    components: list
+    components: GaussianHmm
     alpha: np.ndarray
     beta: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not isinstance(self.components, GaussianHmm):
+            hmms = list(self.components)
+            if not hmms:
+                raise ValueError("model must have at least one component")
+            shape = hmms[0].means.shape
+            bad = [m for m, hmm in enumerate(hmms) if hmm.means.shape != shape]
+            if bad:
+                raise ValueError(f"component {bad[0] + 1} has (S, D) = "
+                                 f"{hmms[bad[0]].means.shape}, expected {shape}")
+            # GaussianHmm turns each list of equally shaped arrays into one stack
+            self.components = GaussianHmm(*([getattr(hmm, name) for hmm in hmms] for name in
+                                            ("initial", "transition", "means", "variances")))
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if not self.components:
-            raise ValueError("model must have at least one component")
-        s, d = self.components[0].num_states, self.components[0].dim
-        for m, comp in enumerate(self.components):
-            if comp.num_states != s or comp.dim != d:
-                raise ValueError(
-                    f"component {m + 1} has shape (S={comp.num_states}, D={comp.dim}), "
-                    f"expected (S={s}, D={d})")
         if self.alpha.ndim != 2 or self.alpha.shape[1] != len(self.components):
             raise ValueError(
                 f"alpha must be (K, {len(self.components)}), got {self.alpha.shape}")
@@ -191,11 +184,11 @@ class SparseMixtureModel:
 
     @property
     def num_states(self) -> int:
-        return self.components[0].num_states
+        return self.components.num_states
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.components.dim
 
 
 @dataclass
@@ -223,14 +216,15 @@ class MixtureSufficientStats:
     component m given its node. blocks holds the state posteriors of the
     live pairs, those with alpha[node_i, m] > 0, stacked in PairBlocks; a
     pair absent from every block has a zero prior, so its eta is exactly zero
-    and it contributes nothing. log_likelihoods[i] is log p(seq_i | node_i).
+    and it contributes nothing. nodes[i] is record i's node id, node_counts
+    the records per node, and log_likelihoods[i] is log p(seq_i | node_i).
     """
 
     node_counts: np.ndarray
     eta: np.ndarray
     blocks: list
-    nodes: np.ndarray = None
-    log_likelihoods: np.ndarray = None
+    nodes: np.ndarray
+    log_likelihoods: np.ndarray
 
     @cached_property
     def eta_by_node(self) -> np.ndarray:
@@ -249,28 +243,7 @@ def check_node(model: SparseMixtureModel, node: int) -> int:
     return int(node)
 
 
-class StackedComponents(NamedTuple):
-    """The parameters of M components as stacked arrays.
-
-    log_initial is (M, S) and log_transition (M, S, S), both with exact -inf
-    at zeros; means and variances are (M, S, D).
-    """
-
-    log_initial: np.ndarray
-    log_transition: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-
-
-def stack_components(components: list) -> StackedComponents:
-    """Stack the parameters of equally shaped components, in order."""
-    logs = [log_params(comp) for comp in components]
-    return StackedComponents(np.stack([pi for pi, _ in logs]), np.stack([a for _, a in logs]),
-                             np.stack([comp.means for comp in components]),
-                             np.stack([comp.variances for comp in components]))
-
-
-def pair_log_densities(stacked: StackedComponents, seqs: list, seq: np.ndarray,
+def pair_log_densities(components: GaussianHmm, seqs: list, seq: np.ndarray,
                        comp: np.ndarray) -> np.ndarray:
     """Emission log-densities of seqs[seq[b]] under component comp[b], shape (B, T, S).
 
@@ -279,14 +252,15 @@ def pair_log_densities(stacked: StackedComponents, seqs: list, seq: np.ndarray,
     every entry is the same arithmetic as a call per pair. The result is a
     view of a time-major (T, B, S) array, the layout the recursions step in.
     """
-    _, s_count, dim = stacked.means.shape
+    _, s_count, dim = components.means.shape
     t_len = seqs[seq[0]].shape[0]
     size = max(1, DENSITY_CELLS // (t_len * s_count * dim))
     out = np.empty((t_len, seq.size, s_count))
     for start in range(0, seq.size, size):
         part = slice(start, start + size)
         dens = gaussian_log_densities(np.stack([seqs[i] for i in seq[part]]),
-                                      stacked.means[comp[part]], stacked.variances[comp[part]])
+                                      components.means[comp[part]],
+                                      components.variances[comp[part]])
         out[:, part] = dens.transpose(1, 0, 2)
     return out.transpose(1, 0, 2)
 
@@ -309,26 +283,26 @@ def _live_pair_blocks(model: SparseMixtureModel, seqs: list, nodes: np.ndarray):
             yield run_seq[start:start + size], run_comp[start:start + size]
 
 
-def _block_forward(stacked: StackedComponents, seqs: list, seq: np.ndarray, comp: np.ndarray):
+def _block_forward(components: GaussianHmm, seqs: list, seq: np.ndarray, comp: np.ndarray):
     """Forward pass over one block of live pairs.
 
     Returns the log transitions (B, S, S), emission log-densities, forward
     tables and each pair's log-likelihood under its component alone.
     """
-    log_obs = pair_log_densities(stacked, seqs, seq, comp)
-    log_a = stacked.log_transition[comp]
-    la = kernels.forward_pairs(stacked.log_initial[comp], log_a, log_obs)
+    log_obs = pair_log_densities(components, seqs, seq, comp)
+    log_pi, log_a = log_params(components[comp])
+    la = kernels.forward_pairs(log_pi, log_a, log_obs)
     return log_a, log_obs, la, kernels.logsumexp(la[:, -1], axis=1)
 
 
-def _block_posteriors(stacked: StackedComponents, seqs: list, seq: np.ndarray,
+def _block_posteriors(components: GaussianHmm, seqs: list, seq: np.ndarray,
                       comp: np.ndarray):
     """Posteriors of one block and each pair's log-likelihood under its component.
 
     The block's forward and backward tables are freed on return, so only one
     block's tables are held at a time.
     """
-    log_a, log_obs, la, ll = _block_forward(stacked, seqs, seq, comp)
+    log_a, log_obs, la, ll = _block_forward(components, seqs, seq, comp)
     lb = kernels.backward_pairs(log_a, log_obs)
     # at zero likelihood la + lb is -inf (or too small for exp) at every
     # cell, so normalizing by log 1 instead of log 0 leaves exact zeros, not nan
@@ -339,16 +313,19 @@ def _block_posteriors(stacked: StackedComponents, seqs: list, seq: np.ndarray,
 
 
 def _checked_nodes(model: SparseMixtureModel, dataset: SequenceDataset) -> np.ndarray:
-    return np.array([check_node(model, item.node) for item in dataset.items], dtype=np.int64)
+    """The records' node ids as one array, checked against K in one pass."""
+    nodes = np.array([item.node for item in dataset.items], dtype=np.int64)
+    if nodes.max() > model.num_nodes:  # the dataset already holds ids >= 1
+        raise ValueError(f"node id {nodes.max()} out of range [1..{model.num_nodes}]")
+    return nodes
 
 
 def _mixture_log_weights(model: SparseMixtureModel, seqs: list, nodes: np.ndarray) -> np.ndarray:
     """log alpha[node_i, m] + log p(seq_i | component m), shape (N, M); -inf where not live."""
-    stacked = stack_components(model.components)
     log_w = np.full((len(seqs), model.num_components), -np.inf)
     for seq, comp in _live_pair_blocks(model, seqs, nodes):
         # keep only the log-likelihoods, so the block's tables are freed here
-        ll = _block_forward(stacked, seqs, seq, comp)[3]
+        ll = _block_forward(model.components, seqs, seq, comp)[3]
         log_w[seq, comp] = np.log(model.alpha[nodes[seq] - 1, comp]) + ll
     return log_w
 
@@ -388,11 +365,10 @@ def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> M
     """
     nodes = _checked_nodes(model, dataset)
     seqs = [item.seq for item in dataset.items]
-    stacked = stack_components(model.components)
     log_w = np.full((len(seqs), model.num_components), -np.inf)
     blocks = []
     for seq, comp in _live_pair_blocks(model, seqs, nodes):
-        block, ll = _block_posteriors(stacked, seqs, seq, comp)
+        block, ll = _block_posteriors(model.components, seqs, seq, comp)
         log_w[seq, comp] = np.log(model.alpha[nodes[seq] - 1, comp]) + ll
         blocks.append(block)
     seq_ll = kernels.logsumexp(log_w, axis=1)
@@ -402,7 +378,7 @@ def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> M
         raise ValueError(f"record {i} (node {nodes[i]}) has zero likelihood under every "
                          f"live component")
     eta = np.exp(log_w - seq_ll[:, None])
-    counts = dataset.node_counts(model.num_nodes)
+    counts = np.bincount(nodes - 1, minlength=model.num_nodes)
     return MixtureSufficientStats(node_counts=counts, eta=eta, blocks=blocks,
                                   nodes=nodes, log_likelihoods=seq_ll)
 

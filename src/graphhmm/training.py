@@ -117,8 +117,8 @@ def _warn(warnings: list, msg: str) -> None:
 
 
 def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
-                           stats: MixtureSufficientStats, warnings: list = None) -> list:
-    """Closed-form updates of initial/transition/means/variances per component.
+                           stats: MixtureSufficientStats, warnings: list = None) -> GaussianHmm:
+    """Closed-form updates of initial/transition/means/variances, as one stack.
 
     The eta-weighted sums run over the E-step's blocks of live pairs, one
     array expression per block. A component whose total responsibility is
@@ -148,10 +148,13 @@ def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
         np.add.at(mean_num, block.comp,
                   w[:, None, None] * np.einsum("bts,btd->bsd", emit_gamma, seqs))
         block_seqs.append(seqs)
+    old = model.components
     live_comp = comp_resp >= RESPONSIBILITY_EPS
-    live_trans = trans_den >= RESPONSIBILITY_EPS
-    live_emit = occ >= RESPONSIBILITY_EPS
-    means = np.stack([comp.means for comp in model.components])
+    dead_rows = live_comp[:, None] & (trans_den < RESPONSIBILITY_EPS)
+    dead_states = live_comp[:, None] & (occ < RESPONSIBILITY_EPS)
+    live_trans = live_comp[:, None] & ~dead_rows
+    live_emit = live_comp[:, None] & ~dead_states
+    means = old.means.copy()
     means[live_emit] = mean_num[live_emit] / occ[live_emit, None]
     var_num = np.zeros((m_count, s_count, dim))
     for block, seqs in zip(stats.blocks, block_seqs):
@@ -159,31 +162,28 @@ def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
         np.add.at(var_num, block.comp,
                   w[:, None, None] * _weighted_square_deviations(
                       block.gamma[:, 1:], seqs, means[block.comp]))
-    new_components = []
-    for m, old in enumerate(model.components):
+    initial = old.initial.copy()
+    initial[live_comp] = pi_num[live_comp] / comp_resp[live_comp, None]
+    transition = old.transition.copy()
+    transition[live_trans] = trans_num[live_trans] / trans_den[live_trans, None]
+    variances = old.variances.copy()
+    variances[live_emit] = var_num[live_emit] / occ[live_emit, None]
+    # a no-op on unchanged entries, which are already validated >= the floor
+    variances = np.maximum(variances, VARIANCE_FLOOR)
+    for m in np.flatnonzero(~live_comp | dead_rows.any(axis=1) | dead_states.any(axis=1)):
         if not live_comp[m]:
             _warn(warnings, f"component {m + 1}: total responsibility below "
                             f"{RESPONSIBILITY_EPS:g}, parameters left unchanged")
-            new_components.append(old)
             continue
-        initial = pi_num[m] / comp_resp[m]
-        transition = old.transition.copy()
-        rows = live_trans[m]
-        transition[rows] = trans_num[m, rows] / trans_den[m, rows, None]
-        if not np.all(rows):
+        if dead_rows[m].any():
             _warn(warnings, f"component {m + 1}: transition rows "
-                            f"{np.flatnonzero(~rows) + 1} have near-zero occupancy, "
+                            f"{np.flatnonzero(dead_rows[m]) + 1} have near-zero occupancy, "
                             f"left unchanged")
-        states = live_emit[m]
-        if not np.all(states):
+        if dead_states[m].any():
             _warn(warnings, f"component {m + 1}: emission states "
-                            f"{np.flatnonzero(~states) + 1} have near-zero occupancy, "
+                            f"{np.flatnonzero(dead_states[m]) + 1} have near-zero occupancy, "
                             f"left unchanged")
-        variances = old.variances.copy()
-        variances[states] = var_num[m, states] / occ[m, states, None]
-        variances = np.maximum(variances, VARIANCE_FLOOR)
-        new_components.append(GaussianHmm(initial, transition, means[m], variances))
-    return new_components
+    return GaussianHmm(initial, transition, means, variances)
 
 
 def _weighted_square_deviations(gamma: np.ndarray, seqs: np.ndarray,
@@ -321,7 +321,7 @@ def initialize_model(dataset: SequenceDataset, num_nodes: int, num_components: i
     alpha /= alpha.sum(axis=1, keepdims=True)
     beta = None
     if with_scores:
-        # scores are primary so the exact alpha == reparameterize(beta)
+        # scores are primary so the exact alpha == reparameterize_rows(beta)
         # invariant holds; this re-normalization only moves alpha by rounding
         beta = np.sqrt(alpha)
         alpha = reparameterize_rows(beta)
@@ -333,14 +333,12 @@ def initialize_model(dataset: SequenceDataset, num_nodes: int, num_components: i
     centers = _kmeans(frames, num_states, rng)
     spread = frames.std(axis=0)
     pooled_var = np.maximum(frames.var(axis=0), VARIANCE_FLOOR)
-    dim = frames.shape[1]
-    initial = np.full(num_states, 1.0 / num_states)
-    transition = np.full((num_states, num_states), 1.0 / num_states)
-    components = []
-    for _ in range(num_components):
-        means = centers + rng.normal(0.0, 1.0, size=(num_states, dim)) * (0.01 * spread)
-        variances = np.tile(pooled_var, (num_states, 1))
-        components.append(GaussianHmm(initial, transition, means, variances))
+    shape = (num_components, num_states)
+    # one (M, S, D) draw consumes the stream exactly as M draws of (S, D)
+    means = centers + rng.normal(0.0, 1.0, size=shape + frames.shape[1:]) * (0.01 * spread)
+    components = GaussianHmm(np.full(shape, 1.0 / num_states),
+                             np.full(shape + (num_states,), 1.0 / num_states), means,
+                             np.tile(pooled_var, shape + (1,)))
     return SparseMixtureModel(components, alpha, beta)
 
 

@@ -17,7 +17,7 @@ from graphhmm.hmm import VARIANCE_FLOOR, GaussianHmm, gaussian_log_densities, po
 from graphhmm.mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
                               SparseMixtureModel, mixture_log_likelihood,
                               mixture_log_likelihoods, mixture_posteriors,
-                              pair_log_densities, reparameterize_rows, stack_components)
+                              pair_log_densities, reparameterize_rows)
 from graphhmm.training import (RESPONSIBILITY_EPS, AdamState, TrainConfig, _update_scores,
                                em_step_mhmm, em_step_spamhmm)
 
@@ -154,9 +154,9 @@ def test_spamhmm_step_matches_per_pair(seed, block_sizes):
     config = TrainConfig(lam=0.4, inner_iters=5, learning_rate=0.05)
     eta, ll, posts = per_pair_estep(model, data)
     updated, _ = em_step_spamhmm(model, data, graph, config, AdamState.zeros(model.beta.shape))
-    reference = MixtureSufficientStats(node_counts=data.node_counts(model.num_nodes), eta=eta,
-                                       blocks=[], nodes=np.array([it.node for it in data.items]),
-                                       log_likelihoods=ll)
+    nodes = np.array([it.node for it in data.items])
+    reference = MixtureSufficientStats(node_counts=np.bincount(nodes - 1, minlength=4), eta=eta,
+                                       blocks=[], nodes=nodes, log_likelihoods=ll)
     alpha, beta = _update_scores(model, reference, graph, config,
                                  AdamState.zeros(model.beta.shape))
     np.testing.assert_allclose(updated.alpha, alpha, rtol=0, atol=ATOL)
@@ -171,7 +171,8 @@ def test_pair_densities_equal_one_call_per_pair():
         seqs = [rng.normal(size=(5, dim)) * 3.0 for _ in range(3)]
         seq = np.array([0, 0, 0, 1, 2, 2])
         comp = np.array([0, 2, 3, 1, 3, 0])
-        got = pair_log_densities(stack_components(comps), seqs, seq, comp)
+        model = SparseMixtureModel(comps, np.full((1, 4), 0.25))
+        got = pair_log_densities(model.components, seqs, seq, comp)
         for b, (i, m) in enumerate(zip(seq, comp)):
             expected = gaussian_log_densities(seqs[i], comps[m].means, comps[m].variances)
             assert np.array_equal(got[b], expected)

@@ -171,6 +171,67 @@ class TestValidation:
         assert log_a[0, 0] == -np.inf and log_a[1, 1] == -np.inf
 
 
+class TestStack:
+    """A dictionary of HMMs held as one GaussianHmm with a leading component axis."""
+
+    FIELDS = ("initial", "transition", "means", "variances")
+
+    def stacked_arrays(self, rng, count=3):
+        comps = [random_hmm(rng, 3, 2) for _ in range(count)]
+        return comps, [np.stack([getattr(c, f) for c in comps]) for f in self.FIELDS]
+
+    def test_indexing_gives_each_source_hmm(self):
+        rng = np.random.default_rng(40)
+        comps = [random_hmm(rng, 3, 2, sparse_transitions=True) for _ in range(4)]
+        stack = SparseMixtureModel(comps, np.full((1, 4), 0.25)).components
+        assert len(stack) == 4 and stack.initial.shape == (4, 3)
+        assert (stack.num_states, stack.dim) == (3, 2)
+        for m, (view, source) in enumerate(zip(stack, comps)):
+            assert (view.num_states, view.dim) == (3, 2)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(view, name), getattr(source, name))
+                assert np.array_equal(getattr(stack[m], name), getattr(source, name))
+
+    def test_stack_error_names_the_component(self):
+        rng = np.random.default_rng(41)
+        _, (initial, transition, means, variances) = self.stacked_arrays(rng)
+        GaussianHmm(initial, transition, means, variances)
+        bad = transition.copy()
+        bad[1, 0] = [1.2, -0.1, -0.1]
+        with pytest.raises(ValueError, match="component 2: transition has negative entries"):
+            GaussianHmm(initial, bad, means, variances)
+        bad = variances.copy()
+        bad[2, 1, 0] = 1e-9
+        with pytest.raises(ValueError, match="component 3: variances must be >="):
+            GaussianHmm(initial, transition, means, bad)
+
+    def test_list_boundary_validates_the_stack(self):
+        rng = np.random.default_rng(42)
+        comps, _ = self.stacked_arrays(rng)
+        comps[1].initial[:] = [0.9, 0.9, 0.9]  # corrupted after its own check
+        with pytest.raises(ValueError, match="component 2: initial rows must sum to 1"):
+            SparseMixtureModel(comps, np.full((1, 3), 1.0 / 3.0))
+
+    def test_single_hmm_inference_rejects_a_stack(self):
+        rng = np.random.default_rng(43)
+        _, arrays = self.stacked_arrays(rng)
+        stack = GaussianHmm(*arrays)
+        seq = rng.normal(size=(4, 2))
+        with pytest.raises(ValueError, match="single HMM"):
+            posteriors(stack, seq)
+        with pytest.raises(ValueError, match="single HMM"):
+            log_likelihood(stack, seq)
+        with pytest.raises(ValueError, match="single HMM"):
+            sample(stack, 4, rng)
+        log_likelihood(stack[0], seq)
+
+    def test_single_hmm_has_no_components(self):
+        with pytest.raises(TypeError):
+            len(standard_normal_hmm())
+        with pytest.raises(TypeError):
+            standard_normal_hmm()[0]
+
+
 class TestScaling:
     """Coarse complexity checks: linear in T, quadratic in S."""
 

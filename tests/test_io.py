@@ -210,6 +210,26 @@ class TestModelIo:
         with pytest.raises(ValueError, match="component 1"):
             load_model(str(p))
 
+    def test_corrupted_second_component_named(self, tmp_path):
+        rng = np.random.default_rng(10)
+        p = tmp_path / "m.json"
+        save_model(tiny_model(rng), str(p))
+        doc = json.loads(p.read_text())
+        doc["components"][1]["transition"][0] = [1.5, -0.5]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"{p}: component 2: transition"):
+            load_model(str(p))
+
+    def test_component_shape_must_match_header(self, tmp_path):
+        rng = np.random.default_rng(11)
+        p = tmp_path / "m.json"
+        save_model(tiny_model(rng), str(p))
+        doc = json.loads(p.read_text())
+        doc["components"][1]["means"] = [[0.0], [1.0]]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"{p}: .*'means' arrays must be 2x2x2"):
+            load_model(str(p))
+
     def test_alpha_beta_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(9)
         p = tmp_path / "m.json"

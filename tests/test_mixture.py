@@ -7,8 +7,8 @@ import pytest
 from graphhmm.hmm import GaussianHmm
 from graphhmm.mixture import (AffinityGraph, SequenceDataset, SparseMixtureModel,
                               coefficient_gradient, mixture_log_likelihood,
-                              mixture_posteriors, regularizer_value, reparameterize,
-                              reparameterize_rows, sample_from_node)
+                              mixture_posteriors, regularizer_value, reparameterize_rows,
+                              sample_from_node)
 from graphhmm.training import em_step_mhmm
 
 from conftest import enum_mixture_log_likelihood, random_hmm
@@ -29,20 +29,20 @@ def make_mixture(rng, k=2, m=3, s=2, d=1, beta=None):
 
 class TestReparameterize:
     def test_equal_scores(self):
-        np.testing.assert_array_equal(reparameterize([1.0, 1.0]), [0.5, 0.5])
+        np.testing.assert_array_equal(reparameterize_rows([1.0, 1.0]), [0.5, 0.5])
 
     def test_negative_score_gives_exact_zero(self):
-        out = reparameterize([-1.0, 2.0])
+        out = reparameterize_rows([-1.0, 2.0])
         assert out[0] == 0.0
         np.testing.assert_array_equal(out, [0.0, 1.0])
 
     def test_squaring(self):
-        np.testing.assert_allclose(reparameterize([1.0, 2.0]), [0.2, 0.8],
+        np.testing.assert_allclose(reparameterize_rows([1.0, 2.0]), [0.2, 0.8],
                                    rtol=0, atol=1e-15)
 
     def test_degenerate_row_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            reparameterize([-1.0, 0.0, -0.5])
+            reparameterize_rows([-1.0, 0.0, -0.5])
 
     def test_rows_version(self):
         out = reparameterize_rows([[1.0, 1.0], [-1.0, 2.0]])
@@ -65,7 +65,7 @@ class TestReparameterize:
         rng = np.random.default_rng(0)
         row = rng.uniform(-1, 2, size=5)
         row[0] = 1.0  # keep at least one positive entry
-        np.testing.assert_allclose(reparameterize(row), reparameterize(3.7 * row),
+        np.testing.assert_allclose(reparameterize_rows(row), reparameterize_rows(3.7 * row),
                                    rtol=0, atol=1e-15)
 
 
@@ -191,7 +191,9 @@ class TestResponsibilities:
         warnings = []
         updated, objective = em_step_mhmm(model, data, warnings)
         assert objective == total
-        assert updated.components[0] is comps[0]
+        for name in ("initial", "transition", "means", "variances"):
+            assert np.array_equal(getattr(updated.components[0], name),
+                                  getattr(comps[0], name))
         assert any("component 1" in w for w in warnings)
         np.testing.assert_array_equal(updated.components[1].means, [[1e154]])
         np.testing.assert_array_equal(updated.alpha, [[0.0, 1.0]])
@@ -213,6 +215,14 @@ class TestResponsibilities:
         stats = mixture_posteriors(model, data)
         np.testing.assert_array_equal(stats.nodes, [2, 3, 2])
         np.testing.assert_array_equal(stats.node_counts, [0, 2, 1])
+
+    def test_node_beyond_model_rejected_once_for_the_dataset(self):
+        rng = np.random.default_rng(8)
+        model = make_mixture(rng, k=3)
+        data = SequenceDataset([(2, rng.normal(size=(2, 1))), (5, rng.normal(size=(2, 1))),
+                                (4, rng.normal(size=(2, 1)))])
+        with pytest.raises(ValueError, match=r"node id 5 out of range \[1\.\.3\]"):
+            mixture_posteriors(model, data)
 
 
 class TestRegularizer:
@@ -347,6 +357,21 @@ class TestGradient:
         stats = mixture_posteriors(model, data)
         with pytest.raises(ValueError, match="beta"):
             coefficient_gradient(model.alpha, model.beta, stats, graph, 0.1)
+
+
+class TestDatasetValidation:
+    def test_record_errors_name_the_item(self):
+        seq = np.zeros((2, 1))
+        with pytest.raises(ValueError, match="item 1: 'node' must be an integer >= 1"):
+            SequenceDataset([(1, seq), (True, seq)])
+        with pytest.raises(ValueError, match="item 1: 'label' must be"):
+            SequenceDataset([(1, seq), (1, seq, "odd")])
+        with pytest.raises(ValueError, match="item 2: dimension 3 differs"):
+            SequenceDataset([(1, seq), (2, seq), (1, np.zeros((2, 3)))])
+        with pytest.raises(ValueError, match="item 0: sequence contains non-finite"):
+            SequenceDataset([(1, np.array([[np.inf]]))])
+        with pytest.raises(ValueError, match="item 0: sequence must contain at least one"):
+            SequenceDataset([(1, np.zeros((0, 1)))])
 
 
 class TestModelValidation:

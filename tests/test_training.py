@@ -99,6 +99,22 @@ class TestClosedFormUpdates:
         np.testing.assert_array_equal(updated.alpha[1], alpha[1])
         assert any("node 2" in w for w in warnings)
 
+    def test_unreachable_state_keeps_its_row_and_warns(self):
+        rng = np.random.default_rng(31)
+        # state 2 of component 1 is never entered, so its occupancy is exactly zero
+        trapped = GaussianHmm([1.0, 0.0], [[1.0, 0.0], [0.5, 0.5]],
+                              [[0.0], [3.0]], [[1.0], [2.0]])
+        model = SparseMixtureModel([trapped, random_hmm(rng, 2, 1)], [[0.5, 0.5]])
+        data = small_dataset(rng, [1, 1, 1], [4, 2, 5])
+        warnings = []
+        new = em_step_mhmm(model, data, warnings)[0].components[0]
+        assert warnings == [
+            "component 1: transition rows [2] have near-zero occupancy, left unchanged",
+            "component 1: emission states [2] have near-zero occupancy, left unchanged"]
+        np.testing.assert_array_equal(new.transition[1], [0.5, 0.5])
+        assert new.means[1, 0] == 3.0 and new.variances[1, 0] == 2.0
+        assert new.means[0, 0] != 0.0 and new.variances[0, 0] != 1.0
+
     def test_monotone_over_iterations(self):
         rng = np.random.default_rng(4)
         comps = [random_hmm(rng, 2, 1) for _ in range(2)]
