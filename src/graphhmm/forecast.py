@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .hmm import GaussianHmm, log_params, validate_sequence
+from .hmm import GaussianHmm, _cdf, _draw, log_params, validate_sequence
 from .mixture import SparseMixtureModel, check_node, pair_log_densities
 
 
@@ -92,21 +92,6 @@ def predictive_log_likelihood(posterior: PosteriorModel, continuation: np.ndarra
     end = _end_forward(posterior.components, comps, log_init, continuation)
     terms = np.log(posterior.weights[comps]) + kernels.logsumexp(end, axis=1)
     return float(kernels.logsumexp(terms))
-
-
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """Cumulative rows of p, scaled so the last entry of each is exactly 1.0."""
-    c = np.cumsum(p, axis=-1)
-    return c / c[..., -1:]
-
-
-def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: per row, the number of cdf entries <= u.
-
-    With u in [0, 1) and the last entry exactly 1.0, an entry of zero
-    probability (a flat step of the cdf) is never the result.
-    """
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
 def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,

@@ -22,7 +22,7 @@ def check_rows_normalized(arr: np.ndarray, name: str) -> None:
     if np.any(arr < 0.0):
         raise ValueError(f"{name} has negative entries")
     sums = arr.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+    if not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL):  # a nan sum fails too
         raise ValueError(f"{name} rows must sum to 1 within {ROW_SUM_TOL:g}, got sums {sums}")
 
 
@@ -151,12 +151,14 @@ def gaussian_log_densities(seq: np.ndarray, means: np.ndarray,
 
 
 def validate_sequence(seq: np.ndarray, dim: int = None) -> np.ndarray:
-    """A non-empty, finite (T, D) float array, with D == dim when dim is given."""
+    """A finite (T, D) float array with T, D >= 1, and D == dim when dim is given."""
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 2:
         raise ValueError(f"sequence must be 2-d (T, D), got shape {seq.shape}")
     if seq.shape[0] < 1:
         raise ValueError("sequence must contain at least one observation")
+    if seq.shape[1] < 1:
+        raise ValueError("sequence must have at least one feature")
     if dim is not None and seq.shape[1] != dim:
         raise ValueError(f"sequence has dimension {seq.shape[1]}, model expects {dim}")
     if not np.all(np.isfinite(seq)):
@@ -190,6 +192,23 @@ def posteriors(hmm: GaussianHmm, seq: np.ndarray) -> StatePosteriors:
     return StatePosteriors(log_likelihood=ll, gamma=gamma, xi=xi)
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative rows of p, scaled so the last entry of each is exactly 1.0."""
+    c = np.cumsum(p, axis=-1)
+    return c / c[..., -1:]
+
+
+def _draw(cdf: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draw: per row of cdf, the number of its entries <= u.
+
+    With u in [0, 1) and the last entry exactly 1.0, an entry of zero
+    probability (a flat step of the cdf) is never the result. One row and
+    one uniform draw from Generator.random() give the index that
+    Generator.choice(len(row), p=row) gives on the same stream.
+    """
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+
+
 def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
     """Draw one sequence of the given length by ancestral sampling.
 
@@ -201,9 +220,10 @@ def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(rng)
     std = np.sqrt(hmm.variances)
+    transition_cdf = _cdf(hmm.transition)
     out = np.empty((length, hmm.dim))
-    state = rng.choice(hmm.num_states, p=hmm.initial)
+    state = _draw(_cdf(hmm.initial), rng.random())
     for t in range(length):
-        state = rng.choice(hmm.num_states, p=hmm.transition[state])
+        state = _draw(transition_cdf[state], rng.random())
         out[t] = rng.normal(hmm.means[state], std[state])
     return out

@@ -1,5 +1,11 @@
 """File formats: JSON Lines datasets, JSON graphs and models, stats files.
 
+Every numeric field goes through one strict parser, _numbers: a JSON number
+or rectangular nested lists of them, never strings, booleans, null or
+objects. Header counts are JSON integers >= 1. Dataset records are checked
+once, by SequenceDataset, and a failure is reported as path:line:.
+Standardization stats are checked where they are applied.
+
 Model and stats files are written canonically: keys in a fixed order and
 every float rendered with 17 significant digits (with a decimal point forced
 so floats never reparse as ints). Loading a file and saving it again
@@ -7,12 +13,13 @@ reproduces the bytes exactly, and a fixed-seed training run writes
 byte-identical output every time.
 """
 
+from itertools import chain
 import json
 
 import numpy as np
 
 from .hmm import GaussianHmm
-from .mixture import AffinityGraph, SequenceDataset, SparseMixtureModel, check_record
+from .mixture import AffinityGraph, RecordError, SequenceDataset, SparseMixtureModel
 
 FORMAT_VERSION = 1
 
@@ -69,43 +76,79 @@ def _float_rows(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=np.float64).tolist()
 
 
+def _parse(text: str, where: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer literal too long to convert
+        raise ValueError(f"{where}: invalid JSON: {exc}") from None
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse(fh.read(), path)
+
+
+def _numbers(value, field: str) -> np.ndarray:
+    """A parsed JSON number, or rectangular nested lists of them, as a float64 array.
+
+    Strings, booleans, null and objects are not numbers, and lists that are
+    ragged are rejected; the caller checks the shape.
+    """
+    shape, flat, types = [], [value], {type(value)}
+    while types == {list}:  # descend one nesting level
+        widths = set(map(len, flat))
+        if len(widths) != 1:
+            break
+        shape.append(widths.pop())
+        flat = list(chain.from_iterable(flat))
+        types = set(map(type, flat))
+    if list in types:  # rows of different widths, or lists beside numbers
+        raise ValueError(f"'{field}' rows must share one non-zero width")
+    if not types <= {int, float}:
+        bad = next(v for v in flat if type(v) not in (int, float))
+        shown = "an object" if type(bad) is dict else json.dumps(bad)
+        raise ValueError(f"'{field}' must contain only numbers; {shown} is not a number")
+    try:
+        return np.array(flat, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        raise ValueError(f"'{field}' holds an integer too large for a float") from None
+
+
+def _count(doc: dict, key: str) -> int:
+    """A header count: a JSON integer >= 1 (not a boolean, not 1.0)."""
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"'{key}' must be an integer >= 1, got {json.dumps(value)}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # datasets (JSON Lines: one {"node": ..., "seq": [[...]], "label": ...?} per line)
 
 def load_dataset(path: str) -> SequenceDataset:
-    """Parse a JSON Lines dataset; check_record checks each record."""
-    items = []
+    """Parse a JSON Lines dataset; SequenceDataset checks each record once."""
+    items, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            rec = _parse(line, f"{path}:{lineno}")
             if not isinstance(rec, dict) or "node" not in rec or "seq" not in rec:
                 raise ValueError(f"{path}:{lineno}: record must be an object with "
                                  f"'node' and 'seq' fields")
-            seq = rec["seq"]
-            if (not isinstance(seq, list) or not seq
-                    or not all(isinstance(row, list) for row in seq)):
-                raise ValueError(f"{path}:{lineno}: 'seq' must be a non-empty list of rows")
-            widths = {len(row) for row in seq}
-            if len(widths) != 1 or 0 in widths:
-                raise ValueError(f"{path}:{lineno}: 'seq' rows must share one non-zero width")
             try:
-                arr = np.array(seq, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}:{lineno}: 'seq' must contain only numbers") from None
-            dim = items[0].seq.shape[1] if items else None
-            try:
-                items.append(check_record(rec["node"], arr, rec.get("label"), dim))
+                seq = _numbers(rec["seq"], "seq")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not items:
-        raise ValueError(f"{path}: dataset contains no sequences")
-    return SequenceDataset(items)
+            items.append((rec["node"], seq, rec.get("label")))
+            linenos.append(lineno)
+    try:
+        return SequenceDataset(items)
+    except RecordError as exc:
+        raise ValueError(f"{path}:{linenos[exc.index]}: {exc.reason}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_dataset(dataset: SequenceDataset, path: str) -> None:
@@ -122,24 +165,18 @@ def save_dataset(dataset: SequenceDataset, path: str) -> None:
 # graphs
 
 def load_graph(path: str, normalize: bool = False) -> AffinityGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "num_nodes" not in doc or "weights" not in doc:
-        raise ValueError(f"{path}: graph file must contain 'num_nodes' and 'weights'")
-    k = doc["num_nodes"]
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"{path}: 'num_nodes' must be a positive integer")
-    weights = np.asarray(doc["weights"], dtype=np.float64)
-    if weights.shape != (k, k):
-        raise ValueError(f"{path}: 'weights' must be {k}x{k}, got shape {weights.shape}")
+    doc = _read_json(path)
     try:
+        if not isinstance(doc, dict) or "num_nodes" not in doc or "weights" not in doc:
+            raise ValueError("graph file must contain 'num_nodes' and 'weights'")
+        k = _count(doc, "num_nodes")
+        weights = _numbers(doc["weights"], "weights")
+        if weights.shape != (k, k):
+            raise ValueError(f"'weights' must be {k}x{k}, got shape {weights.shape}")
         graph = AffinityGraph(weights)
+        return graph.normalized() if normalize else graph
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return graph.normalized() if normalize else graph
 
 
 def save_graph(graph: AffinityGraph, path: str) -> None:
@@ -179,49 +216,50 @@ def save_model(model: SparseMixtureModel, path: str, metadata: dict = None) -> N
 
 def load_model(path: str):
     """Load a model file. Returns (model, metadata)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_json(path)
+    try:
+        return _model_from(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _model_from(doc):
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: model file must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version "
-                         f"{doc.get('format_version')!r}, expected {FORMAT_VERSION}")
+        raise ValueError("model file must be a JSON object")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     for key in ("num_nodes", "num_components", "num_states", "dim",
                 "alpha", "components"):
         if key not in doc:
-            raise ValueError(f"{path}: missing required field '{key}'")
-    k, m = doc["num_nodes"], doc["num_components"]
-    s, d = doc["num_states"], doc["dim"]
-    alpha = np.asarray(doc["alpha"], dtype=np.float64)
+            raise ValueError(f"missing required field '{key}'")
+    k, m, s, d = (_count(doc, key) for key in ("num_nodes", "num_components",
+                                                "num_states", "dim"))
+    alpha = _numbers(doc["alpha"], "alpha")
     if alpha.shape != (k, m):
-        raise ValueError(f"{path}: alpha must be {k}x{m}, got {alpha.shape}")
+        raise ValueError(f"alpha must be {k}x{m}, got {alpha.shape}")
     beta = doc.get("beta")
     if beta is not None:
-        beta = np.asarray(beta, dtype=np.float64)
+        beta = _numbers(beta, "beta")
         if beta.shape != (k, m):
-            raise ValueError(f"{path}: beta must be {k}x{m}, got {beta.shape}")
+            raise ValueError(f"beta must be {k}x{m}, got {beta.shape}")
+    components = doc["components"]
+    if not isinstance(components, list) or len(components) != m:
+        raise ValueError(f"'components' must be a list of {m} objects")
     arrays = []
-    for key, shape in (("initial", (m, s)), ("transition", (m, s, s)),
-                       ("means", (m, s, d)), ("variances", (m, s, d))):
-        try:
-            arr = np.asarray([comp[key] for comp in doc["components"]], dtype=np.float64)
-        except KeyError:
-            raise ValueError(f"{path}: a component is missing '{key}'") from None
-        except (TypeError, ValueError):
-            arr = None  # ragged or not numbers
-        if arr is None or arr.shape != shape:
-            raise ValueError(f"{path}: the components' '{key}' arrays must be "
-                             f"{'x'.join(map(str, shape))} as the header declares")
-        arrays.append(arr)
-    try:
-        model = SparseMixtureModel(GaussianHmm(*arrays), alpha, beta)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    for key, shape in (("initial", (s,)), ("transition", (s, s)),
+                       ("means", (s, d)), ("variances", (s, d))):
+        if not all(isinstance(comp, dict) and key in comp for comp in components):
+            raise ValueError(f"a component is missing '{key}'")
+        arrs = [_numbers(comp[key], key) for comp in components]
+        if any(arr.shape != shape for arr in arrs):
+            raise ValueError(f"the components' '{key}' arrays must be "
+                             f"{'x'.join(map(str, (m,) + shape))} as the header declares")
+        arrays.append(np.stack(arrs))
     metadata = doc.get("metadata", {})
-    return model, metadata
+    if not isinstance(metadata, dict):
+        raise ValueError("'metadata' must be a JSON object")
+    return SparseMixtureModel(GaussianHmm(*arrays), alpha, beta), metadata
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +292,58 @@ def standardization_stats(dataset: SequenceDataset, per_node: bool = False) -> d
     return {"per_node": True, "nodes": per}
 
 
-def apply_standardization(dataset: SequenceDataset, stats: dict) -> SequenceDataset:
-    items = []
-    if stats.get("per_node"):
-        per = stats["nodes"]
-        for item in dataset.items:
-            key = str(item.node)
-            if key not in per:
-                raise ValueError(f"stats file has no entry for node {item.node}")
-            mean = np.asarray(per[key]["mean"], dtype=np.float64)
-            std = np.asarray(per[key]["std"], dtype=np.float64)
-            items.append((item.node, (item.seq - mean) / std, item.label))
+def _mean_std(stats: dict, node, dim: int) -> tuple:
+    """Checked (mean, std) of the pooled stats (node None) or of one node's entry.
+
+    Both hold dim numbers; mean is finite and std finite and > 0.
+    """
+    if node is None:
+        entry, where = stats, "standardization stats"
+    elif node in stats["nodes"]:
+        entry, where = stats["nodes"][node], f"standardization stats for node {node}"
     else:
-        mean = np.asarray(stats["mean"], dtype=np.float64)
-        std = np.asarray(stats["std"], dtype=np.float64)
-        for item in dataset.items:
-            items.append((item.node, (item.seq - mean) / std, item.label))
+        raise ValueError(f"stats file has no entry for node {node}")
+    try:
+        if not isinstance(entry, dict):
+            raise ValueError("must be a JSON object")
+        arrays = []
+        for key in ("mean", "std"):
+            if key not in entry:
+                raise ValueError(f"missing '{key}'")
+            arr = _numbers(entry[key], key)
+            if arr.shape != (dim,):
+                raise ValueError(f"'{key}' must hold {dim} number(s), one per feature, "
+                                 f"got shape {arr.shape}")
+            arrays.append(arr)
+        mean, std = arrays
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("'mean' must be finite")
+        if not np.all(np.isfinite(std) & (std > 0.0)):
+            raise ValueError("'std' must be finite and > 0")
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return mean, std
+
+
+def apply_standardization(dataset: SequenceDataset, stats: dict) -> SequenceDataset:
+    """(x - mean) / std per record, with the pooled stats or those of its node.
+
+    The stats are checked here, against the dataset's dimension, whether they
+    come from a stats file or from a model's metadata.
+    """
+    if not isinstance(stats, dict):
+        raise ValueError("standardization stats must be a JSON object")
+    per_node = bool(stats.get("per_node"))
+    if per_node and not isinstance(stats.get("nodes"), dict):
+        raise ValueError("per-node standardization stats need a 'nodes' object")
+    checked = {}
+    items = []
+    for item in dataset.items:
+        key = str(item.node) if per_node else None
+        if key not in checked:
+            checked[key] = _mean_std(stats, key, dataset.dim)
+        mean, std = checked[key]
+        items.append((item.node, (item.seq - mean) / std, item.label))
     return SequenceDataset(items)
 
 
@@ -280,11 +354,7 @@ def save_stats(stats: dict, path: str) -> None:
 
 
 def load_stats(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            stats = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    stats = _read_json(path)
     if not isinstance(stats, dict) or ("mean" not in stats and "nodes" not in stats):
         raise ValueError(f"{path}: not a standardization stats file")
     return stats

@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .hmm import (GaussianHmm, check_rows_normalized, gaussian_log_densities, log_params,
-                  sample, validate_sequence)
+from .hmm import (GaussianHmm, _cdf, _draw, check_rows_normalized, gaussian_log_densities,
+                  log_params, sample, validate_sequence)
 
 # Live pairs per block: one recursion step then covers about BLOCK_CELLS
 # (pair, state, state) cells, whatever the state count.
@@ -81,12 +81,22 @@ def check_record(node, seq, label=None, dim: int = None) -> SequenceItem:
     return SequenceItem(int(node), seq, label)
 
 
+class RecordError(ValueError):
+    """A dataset record failed check_record: index is the item, reason the bare message."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"item {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
 @dataclass
 class SequenceDataset:
     """Sequences tagged with the 1-based id of the node that produced them.
 
     Sequences may have different lengths but must share one feature
     dimension. The optional per-item label is "normal" or "anomalous".
+    Every item is checked here, once, by check_record; a failure raises
+    RecordError naming the item.
     """
 
     items: list
@@ -98,7 +108,7 @@ class SequenceDataset:
             try:
                 checked.append(check_record(*item[:3], dim=dim))
             except ValueError as exc:
-                raise ValueError(f"item {i}: {exc}") from None
+                raise RecordError(i, str(exc)) from None
         if not checked:
             raise ValueError("dataset contains no sequences")
         self.items = checked
@@ -430,7 +440,7 @@ def sample_from_node(model: SparseMixtureModel, node: int, length: int, rng,
     """
     node = check_node(model, node)
     rng = np.random.default_rng(rng)
-    z = int(rng.choice(model.num_components, p=model.alpha[node - 1]))
+    z = int(_draw(_cdf(model.alpha[node - 1]), rng.random()))
     seq = sample(model.components[z], length, rng)
     if return_component:
         return seq, z + 1

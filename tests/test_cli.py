@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,18 @@ class TestCluster:
         assert doc["thresholded_sparsity"]["threshold"] == 1e-6
         assert doc["thresholded_sparsity"]["value"] == 0.25
 
+    def test_alpha_object_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        spec = tmp_path / "model.json"
+        write_spec_model(spec, [[0.5, 0.5]], [-2.0, 2.0])
+        doc = json.loads(spec.read_text())
+        doc["alpha"] = {"a": 1}
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "c.json"
+        assert main(["cluster", "--model", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: 'alpha' must contain only numbers")
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestStandardize:
     def test_pooled_and_stats_reuse(self, tmp_path):
@@ -334,6 +347,54 @@ class TestStandardize:
                      "--per-node"]) == 0
         for item in io.load_dataset(str(out)).items:
             np.testing.assert_allclose(item.seq.mean(), 0.0, rtol=0, atol=1e-12)
+
+
+BAD_STATS = {
+    "missing-key": (lambda st: st.pop("std"), "missing 'std'"),
+    "width": (lambda st: st.update(mean=[0.0, 1.0], std=[1.0, 2.0]),
+              r"'mean' must hold 1 number\(s\)"),
+    "strings": (lambda st: st.update(mean=["0.5"]), "'mean' must contain only numbers"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_STATS))
+class TestStatsChecks:
+    """Defective stats are refused whether they come from a file or a model."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        io.save_dataset(SequenceDataset([(1, [[1.0], [2.0]], "normal"),
+                                         (1, [[0.5]], "anomalous")]), str(path))
+        return path
+
+    def test_stats_file(self, tmp_path, data, defect, capsys):
+        edit, message = BAD_STATS[defect]
+        stats = {"mean": [1.5], "std": [0.5], "per_node": False}
+        edit(stats)
+        stats_path, out = tmp_path / "stats.json", tmp_path / "out.jsonl"
+        stats_path.write_text(json.dumps(stats))
+        assert main(["standardize", "--data", str(data), "--out", str(out),
+                     "--stats-in", str(stats_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: standardization stats: ")
+        assert re.search(message, err) and not out.exists()
+
+    def test_model_metadata(self, tmp_path, data, defect, capsys):
+        edit, message = BAD_STATS[defect]
+        model = tmp_path / "model.json"
+        write_spec_model(model, [[1.0]], [0.0])
+        doc = json.loads(model.read_text())
+        doc["metadata"]["standardization"] = {"per_node": True,
+                                              "nodes": {"1": {"mean": [1.5], "std": [0.5]}}}
+        edit(doc["metadata"]["standardization"]["nodes"]["1"])
+        model.write_text(json.dumps(doc))
+        scores = tmp_path / "s.csv"
+        assert main(["score", "--model", str(model), "--data", str(data),
+                     "--scores-out", str(scores)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: standardization stats for node 1: ")
+        assert re.search(message, err) and not scores.exists()
 
 
 class TestExitCodesAndEnv:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from graphhmm import kernels
-from graphhmm.hmm import (VARIANCE_FLOOR, GaussianHmm, gaussian_log_densities,
-                          log_likelihood, log_params, posteriors, sample)
+from graphhmm.hmm import (VARIANCE_FLOOR, GaussianHmm, check_rows_normalized,
+                          gaussian_log_densities, log_likelihood, log_params, posteriors,
+                          sample, validate_sequence)
 from graphhmm.mixture import SequenceDataset, SparseMixtureModel
 from graphhmm.training import em_step_mhmm
 
@@ -135,6 +136,37 @@ class TestSampling:
         second = sample(model, 3, rng1)
         assert not np.array_equal(first, second)  # stream advanced, not reset
 
+    def test_same_draws_as_generator_choice(self):
+        def choice_sample(hmm, length, rng):
+            """Ancestral sampling with Generator.choice, the stream to reproduce."""
+            rng = np.random.default_rng(rng)
+            std = np.sqrt(hmm.variances)
+            out = np.empty((length, hmm.dim))
+            state = rng.choice(hmm.num_states, p=hmm.initial)
+            for t in range(length):
+                state = rng.choice(hmm.num_states, p=hmm.transition[state])
+                out[t] = rng.normal(hmm.means[state], std[state])
+            return out
+
+        rng = np.random.default_rng(21)
+        for case in range(60):
+            s, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            model = random_hmm(rng, s, d, sparse_transitions=True)
+            initial, transition = model.initial.copy(), model.transition.copy()
+            means = model.means.copy()
+            if s > 1 and case % 2:  # the last state is unreachable: trailing zeros
+                initial[-1] = transition[:, -1] = 0.0
+                transition[:, 0] += 1e-3
+                transition /= transition.sum(axis=1, keepdims=True)
+                initial /= initial.sum()
+                means[-1] = 1e6
+            transition[0] *= 1.0 - 5e-10  # a row summing just below 1 is legal
+            model = GaussianHmm(initial, transition, means, model.variances)
+            got = sample(model, 25, case)
+            np.testing.assert_array_equal(got, choice_sample(model, 25, case))
+            if s > 1 and case % 2:
+                assert np.all(np.abs(got) < 1e5)
+
 
 class TestValidation:
     def test_dimension_mismatch(self):
@@ -163,6 +195,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="variances"):
             GaussianHmm([1.0], [[1.0]], [[0.0]], [[1e-9]])
         GaussianHmm([1.0], [[1.0]], [[0.0]], [[VARIANCE_FLOOR]])  # boundary is legal
+
+    def test_nan_row_sum_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_rows_normalized(np.array([[np.nan, 1.0]]), "alpha")
+        with pytest.raises(ValueError, match="sum to 1"):
+            SparseMixtureModel([standard_normal_hmm()] * 2, [[np.nan, 1.0]])
+
+    def test_zero_width_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one feature"):
+            validate_sequence(np.zeros((3, 0)))
 
     def test_zero_transitions_stay_exact_in_log_space(self):
         model = GaussianHmm([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]],

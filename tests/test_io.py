@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from graphhmm import io, mixture
 from graphhmm.io import (apply_standardization, canonical_dumps, format_float,
                          load_dataset, load_graph, load_model, load_stats,
                          save_dataset, save_graph, save_model, save_stats,
@@ -120,6 +121,49 @@ class TestDatasetIo:
         with pytest.raises(OSError):
             load_dataset(str(tmp_path / "nope.jsonl"))
 
+    @pytest.mark.parametrize("seq", ['[["1.5", "2"]]', '[[true, 3]]', '[[1, true]]',
+                                     '[[1.5, false]]', '[[0.5, {"a": 1}]]', '"1.5"'])
+    def test_non_numbers_in_seq_rejected(self, tmp_path, seq):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"node":1,"seq":[[0.5, 0.5]]}\n{"node":1,"seq":%s}\n' % seq)
+        with pytest.raises(ValueError, match=rf"{p}:2: 'seq' must contain only numbers; "
+                                             r".* is not a number"):
+            load_dataset(str(p))
+
+    def test_zero_width_rows_rejected(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"node":1,"seq":[[0.5]]}\n{"node":2,"seq":[[], []]}\n')
+        with pytest.raises(ValueError, match=rf"{p}:2: sequence must have at least one feature"):
+            load_dataset(str(p))
+
+    def test_integer_too_large_for_a_float(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"node":1,"seq":[[1%s]]}\n' % ("0" * 400))
+        with pytest.raises(ValueError, match=rf"{p}:1: 'seq' holds an integer too large"):
+            load_dataset(str(p))
+
+    def test_failing_record_mapped_to_its_line(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"node":1,"seq":[[0.5]]}\n\n\n{"node":2,"seq":[[0.5]],"label":"x"}\n')
+        with pytest.raises(ValueError, match=rf"^{p}:4: 'label' must be"):
+            load_dataset(str(p))
+
+    def test_each_record_checked_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(15)
+        data = SequenceDataset([(1 + i % 3, rng.normal(size=(4, 2))) for i in range(7)])
+        p = tmp_path / "d.jsonl"
+        save_dataset(data, str(p))
+        calls = []
+        original = mixture.check_record
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(mixture, "check_record", counted)
+        monkeypatch.setattr(io, "check_record", counted, raising=False)
+        load_dataset(str(p))
+        assert len(calls) == 7
+
 
 class TestGraphIo:
     def test_roundtrip(self, tmp_path):
@@ -147,6 +191,28 @@ class TestGraphIo:
         p.write_text('{"num_nodes":2,"weights":[[0.0,1.0],[0.5,0.0]]}\n')
         with pytest.raises(ValueError, match=rf"{p}: .*symmetric"):
             load_graph(str(p))
+
+    @pytest.mark.parametrize("weights", ['[[0.0, "1.0"], ["1.0", 0.0]]',
+                                         '[[0.0, true], [true, 0.0]]',
+                                         '[[0.0, null], [null, 0.0]]'])
+    def test_non_number_weights_rejected(self, tmp_path, weights):
+        p = tmp_path / "g.json"
+        p.write_text('{"num_nodes":2,"weights":%s}\n' % weights)
+        with pytest.raises(ValueError, match=rf"{p}: 'weights' must contain only numbers"):
+            load_graph(str(p))
+
+    @pytest.mark.parametrize("count", ["true", "1.0", "0", '"1"'])
+    def test_num_nodes_must_be_an_integer(self, tmp_path, count):
+        p = tmp_path / "g.json"
+        p.write_text('{"num_nodes":%s,"weights":[[0.0]]}\n' % count)
+        with pytest.raises(ValueError, match=rf"{p}: 'num_nodes' must be an integer >= 1"):
+            load_graph(str(p))
+
+    def test_normalization_failure_carries_path(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text('{"num_nodes":2,"weights":[[0.0,-1.0],[-1.0,0.0]]}\n')
+        with pytest.raises(ValueError, match=rf"{p}: graph normalization requires"):
+            load_graph(str(p), normalize=True)
 
 
 class TestModelIo:
@@ -230,6 +296,56 @@ class TestModelIo:
         with pytest.raises(ValueError, match=rf"{p}: .*'means' arrays must be 2x2x2"):
             load_model(str(p))
 
+    @pytest.mark.parametrize("alpha", [{"a": 1}, [[0.5, 0.5], [1.0]],
+                                       [["0.5", "0.5"], ["0.5", "0.5"]],
+                                       [[True, False], [False, True]], "0.5"])
+    def test_alpha_must_be_rows_of_numbers(self, tmp_path, alpha):
+        p = self.edited(tmp_path, lambda doc: doc.update(alpha=alpha))
+        with pytest.raises(ValueError, match=rf"{p}: 'alpha' (must contain only numbers|rows)"):
+            load_model(str(p))
+
+    def test_component_arrays_must_hold_numbers(self, tmp_path):
+        def edit(doc):
+            doc["components"][1]["means"][0][1] = "2.5"
+        p = self.edited(tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"{p}: 'means' must contain only numbers"):
+            load_model(str(p))
+
+    @pytest.mark.parametrize("key", ["num_nodes", "num_components", "num_states", "dim"])
+    @pytest.mark.parametrize("value", [True, 2.0, 0, None])
+    def test_header_counts_must_be_integers(self, tmp_path, key, value):
+        p = self.edited(tmp_path, lambda doc: doc.update({key: value}))
+        with pytest.raises(ValueError, match=rf"{p}: '{key}' must be an integer >= 1"):
+            load_model(str(p))
+
+    def test_format_version_must_be_an_integer(self, tmp_path):
+        p = self.edited(tmp_path, lambda doc: doc.update(format_version=True))
+        with pytest.raises(ValueError, match=rf"{p}: unsupported format_version"):
+            load_model(str(p))
+
+    def test_components_must_be_a_list_of_objects(self, tmp_path):
+        p = self.edited(tmp_path, lambda doc: doc.update(components={"a": 1}))
+        with pytest.raises(ValueError, match=rf"{p}: 'components' must be a list of 2"):
+            load_model(str(p))
+        p = self.edited(tmp_path, lambda doc: doc["components"].__setitem__(1, [1.0]))
+        with pytest.raises(ValueError, match=rf"{p}: a component is missing 'initial'"):
+            load_model(str(p))
+
+    def test_metadata_must_be_an_object(self, tmp_path):
+        p = self.edited(tmp_path, lambda doc: doc.update(metadata=[1]))
+        with pytest.raises(ValueError, match=rf"{p}: 'metadata' must be a JSON object"):
+            load_model(str(p))
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        """A saved 2-node, 2-component model file after edit(doc)."""
+        p = tmp_path / "m.json"
+        save_model(tiny_model(np.random.default_rng(12)), str(p))
+        doc = json.loads(p.read_text())
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        return p
+
     def test_alpha_beta_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(9)
         p = tmp_path / "m.json"
@@ -293,3 +409,26 @@ class TestStandardization:
         p.write_text('{"something": 1}\n')
         with pytest.raises(ValueError, match="not a standardization stats file"):
             load_stats(str(p))
+
+    @pytest.mark.parametrize("per_node", [False, True])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda e: e.pop("std"), "missing 'std'"),
+        (lambda e: e.update(mean=[1.0, 2.0]), r"'mean' must hold 1 number\(s\)"),
+        (lambda e: e.update(std=["1.0"]), "'std' must contain only numbers"),
+        (lambda e: e.update(std=[0.0]), "'std' must be finite and > 0"),
+    ], ids=["missing-std", "wide-mean", "string-std", "zero-std"])
+    def test_stats_checked_on_apply(self, per_node, edit, message):
+        rng = np.random.default_rng(16)
+        data = SequenceDataset([(1, rng.normal(size=(6, 1))), (2, rng.normal(size=(6, 1)))])
+        stats = standardization_stats(data, per_node=per_node)
+        edit(stats["nodes"]["2"] if per_node else stats)
+        where = " for node 2: " if per_node else ": "
+        with pytest.raises(ValueError, match=rf"standardization stats{where}{message}"):
+            apply_standardization(data, stats)
+
+    def test_stats_must_be_an_object(self):
+        data = SequenceDataset([(1, np.zeros((2, 1)))])
+        with pytest.raises(ValueError, match="stats must be a JSON object"):
+            apply_standardization(data, [1.0])
+        with pytest.raises(ValueError, match="need a 'nodes' object"):
+            apply_standardization(data, {"per_node": True, "nodes": [1]})

@@ -4,11 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from graphhmm.hmm import GaussianHmm
-from graphhmm.mixture import (AffinityGraph, SequenceDataset, SparseMixtureModel,
-                              coefficient_gradient, mixture_log_likelihood,
-                              mixture_posteriors, regularizer_value, reparameterize_rows,
-                              sample_from_node)
+from graphhmm.hmm import GaussianHmm, sample
+from graphhmm.mixture import (AffinityGraph, RecordError, SequenceDataset,
+                              SparseMixtureModel, coefficient_gradient,
+                              mixture_log_likelihood, mixture_posteriors, regularizer_value,
+                              reparameterize_rows, sample_from_node)
 from graphhmm.training import em_step_mhmm
 
 from conftest import enum_mixture_log_likelihood, random_hmm
@@ -373,6 +373,20 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="item 0: sequence must contain at least one"):
             SequenceDataset([(1, np.zeros((0, 1)))])
 
+    def test_zero_width_sequence_rejected(self):
+        with pytest.raises(ValueError, match="item 1: sequence must have at least one feature"):
+            SequenceDataset([(1, np.zeros((3, 1))), (2, np.zeros((3, 0)))])
+        with pytest.raises(ValueError, match="item 0: sequence must have at least one feature"):
+            SequenceDataset([(1, np.zeros((3, 0)))])
+
+    def test_failure_carries_index_and_bare_reason(self):
+        seq = np.zeros((2, 1))
+        with pytest.raises(RecordError) as info:
+            SequenceDataset([(1, seq), (1, seq), (1, seq, "odd")])
+        assert info.value.index == 2
+        assert info.value.reason.startswith("'label' must be")
+        assert str(info.value) == f"item 2: {info.value.reason}"
+
 
 class TestModelValidation:
     def test_alpha_beta_inconsistency_rejected(self):
@@ -413,6 +427,20 @@ class TestSampling:
                           for _ in range(4000)])
         freq = np.mean(picks == 1)
         assert 0.77 <= freq <= 0.83
+
+    def test_same_draws_as_generator_choice(self):
+        rng = np.random.default_rng(22)
+        comps = [random_hmm(rng, 2, 1) for _ in range(3)]
+        # the last component has weight zero at node 1: a trailing zero
+        model = SparseMixtureModel(comps, [[0.3, 0.7, 0.0], [0.0, 0.4, 0.6]])
+        for seed in range(200):
+            node = 1 + seed % 2
+            ref_rng = np.random.default_rng(seed)
+            z = int(ref_rng.choice(3, p=model.alpha[node - 1]))
+            ref = sample(model.components[z], 4, ref_rng)
+            seq, comp = sample_from_node(model, node, 4, seed, return_component=True)
+            assert comp == z + 1
+            np.testing.assert_array_equal(seq, ref)
 
     def test_zero_coefficient_component_never_drawn(self):
         rng = np.random.default_rng(19)
