@@ -4,11 +4,27 @@ The forward/backward recursions are sequential in the sequence length and
 dominate training time. Each step works on a whole block of (sequence,
 component) pairs that share one length: ``forward_pairs`` and
 ``backward_pairs`` take a leading pair axis, so a block of B pairs costs one
-vectorized step per timestep instead of B. ``transition_counts`` sums the
-pairwise posteriors over time per pair, in time chunks, without ever
-building the (B, T, S, S) array. ``forward``, ``backward`` and
+vectorized step per timestep instead of B. ``forward``, ``backward`` and
 ``transition_posteriors`` are the single-pair (T, S) views of the same
 recursions.
+
+Step forms. ``forward_pairs`` always steps in log form: a logsumexp over
+B * S * S cells. ``backward_pairs`` picks one of two forms per block with
+the cost model in ``backward_uses_matmul``: the same log form, or a matmul
+form that shifts each row by its maximum, exps only B * S cells and lets
+BLAS do the S * S products. Where the matmul form's sum comes out zero or
+subnormal (rows spanning more than ~700 nats, as in left-right chains),
+those entries are redone in log form, so both forms leave the same exact
+``-inf`` pattern. The forward pass keeps the log form: it also scores
+single sequences, whose cost must stay quadratic in S, and a matmul forward
+timed S = 128 at only 1.2-1.5x S = 64 for one sequence of T = 60 (the
+S-doubling check in tests/test_hmm.py asks for 2x-8x; the log form reads
+about 2.1-2.5x).
+
+``transition_counts`` sums the pairwise posteriors over time per pair as
+one batched matmul per time chunk, with O(B * T * S) exps, and never builds
+the (B, T, S, S) array; a chunk whose factors leave the safe range is
+summed from the pairwise posteriors in log form instead.
 
 Conventions: a sequence of length T has hidden states at t = 0..T, and the
 state at t = 0 emits nothing. ``log_obs`` therefore has T rows (row t - 1
@@ -20,8 +36,19 @@ epsilon, so structural zeros survive roundtrips.
 import numpy as np
 
 _LOWEST = np.finfo(np.float64).min
-# Cells of one time chunk when a per-timestep expectation is summed over time.
+_TINY = np.finfo(np.float64).tiny
+# Cells of one time chunk when a per-timestep expectation is summed over
+# time: (pair, t, state) cells of the transition-count factors, and
+# (pair, t, state, dim) cells of the variance sums in training.
 CHUNK_CELLS = 32768
+# backward_uses_matmul's cost model in log-form cells, measured on a 2-core
+# x86-64 host (numpy 2.4, OpenBLAS on one thread): about 5 ns a cell.
+LOG_STEP_CELLS = 400
+MATMUL_PAIR_CELLS = 40
+# Largest Q factor transition_counts contracts. Below it, a term whose P
+# factor underflowed (P < 2**-1022) is itself below 2**-958, too small to
+# move a count.
+_Q_LIMIT = 2.0 ** 64
 
 # There is no compiled kernel path; perfbench/run.py reports this flag in its environment block.
 NUMBA_ENABLED = False
@@ -57,18 +84,60 @@ def forward_pairs(log_pi, log_a, log_obs):
     return la.transpose(1, 0, 2)
 
 
+def backward_uses_matmul(b_count: int, s_count: int) -> bool:
+    """Whether backward_pairs steps a block of B pairs and S states in the matmul form.
+
+    The per-step cost model counts log-form cells, one add and one exp in
+    logsumexp each. The log form costs B * S * S cells plus LOG_STEP_CELLS,
+    its larger fixed overhead per step. The matmul form costs
+    MATMUL_PAIR_CELLS per pair, the per-matrix overhead of numpy's stacked
+    matmul; its B * S exps and the BLAS multiply-adds are small beside that.
+    So blocks of many narrow pairs keep the log form: fit-graph's S = 3
+    blocks of 100-455 pairs do, fit-long's 12 pairs at S = 16 do not.
+    """
+    return LOG_STEP_CELLS + b_count * s_count * s_count > MATMUL_PAIR_CELLS * b_count
+
+
+def _log_step(log_a):
+    """Log-form backward step w -> lb[t] with w = obs[t] + lb[t + 1], each (B, S)."""
+    a_to = np.ascontiguousarray(log_a.transpose(2, 0, 1))  # a_to[u, b, s] = log_a[b, s, u]
+    return lambda w: logsumexp(w.T[:, :, None] + a_to, axis=0)
+
+
+def _matmul_step(log_a):
+    """Backward step lb[t] = log(A @ exp(w - m)) + m, m the row maximum of w.
+
+    Where a sum comes out zero or subnormal, the shifted exps lost the
+    terms that carry it, so those entries are redone in log form, which
+    also leaves exact -inf where the log form has it.
+    """
+    a = np.exp(log_a)
+
+    def step(w):
+        shift = np.maximum(w.max(axis=1, keepdims=True), _LOWEST)
+        total = np.matmul(a, np.exp(w - shift)[:, :, None])[:, :, 0]
+        out = np.log(total) + shift
+        if total.min() < _TINY:
+            b, s = np.nonzero(total < _TINY)
+            out[b, s] = logsumexp(w[b] + log_a[b, s], axis=1)
+        return out
+    return step
+
+
 def backward_pairs(log_a, log_obs):
     """Backward tables log p(x_{t+1}..x_T | state_t = s) per pair, shape (B, T + 1, S).
 
-    The result is a view of a time-major (T + 1, B, S) array.
+    The step form is chosen once per block by backward_uses_matmul. The
+    result is a view of a time-major (T + 1, B, S) array.
     """
     b_count, t_len, s_count = log_obs.shape
-    a_to = np.ascontiguousarray(log_a.transpose(2, 0, 1))  # a_to[u, b, s] = log_a[b, s, u]
+    step = (_matmul_step if backward_uses_matmul(b_count, s_count) else _log_step)(log_a)
     obs = np.ascontiguousarray(log_obs.transpose(1, 0, 2))
     lb = np.empty((t_len + 1, b_count, s_count))
     lb[t_len] = 0.0
-    for t in range(t_len - 1, -1, -1):
-        lb[t] = logsumexp((obs[t] + lb[t + 1]).T[:, :, None] + a_to, axis=0)
+    with np.errstate(divide="ignore"):
+        for t in range(t_len - 1, -1, -1):
+            lb[t] = step(obs[t] + lb[t + 1])
     return lb.transpose(1, 0, 2)
 
 
@@ -87,17 +156,33 @@ def transition_counts(log_alpha, log_beta, log_a, log_obs, log_like):
     """Expected transition counts sum_t xi[b, t - 1] per pair, shape (B, S, S).
 
     log_alpha and log_beta are (B, T + 1, S), log_like is (B,) and must be
-    finite. The pairwise posteriors are summed over time chunks of about
-    CHUNK_CELLS cells, so no (B, T, S, S) array is built.
+    finite. Per pair and t, xi[t - 1, s, u] = P[s] * A[s, u] * Q[u] with
+    P = exp(log_alpha[t - 1] - m), Q = exp(log_obs[t - 1] + log_beta[t] + m
+    - log_like) and m the maximum of log_alpha[t - 1], so a time chunk sums
+    to one batched matmul P^T Q with O(B * T * S) exps. Chunks hold about
+    CHUNK_CELLS (pair, t, state) cells. A chunk whose Q exceeds _Q_LIMIT,
+    where P could underflow on terms that count, is summed from the pairwise
+    posteriors in log form instead.
     """
     b_count, t_len, s_count = log_obs.shape
     la, lb = log_alpha.transpose(1, 0, 2), log_beta.transpose(1, 0, 2)
     obs = log_obs.transpose(1, 0, 2)
-    chunk = max(1, CHUNK_CELLS // (b_count * s_count * s_count))
+    a = np.exp(log_a)
+    chunk = max(1, CHUNK_CELLS // (b_count * s_count))
+    xi_chunk = max(1, CHUNK_CELLS // (b_count * s_count * s_count))
     counts = np.zeros((b_count, s_count, s_count))
     for start in range(0, t_len, chunk):
         stop = min(start + chunk, t_len)
-        counts += _xi_chunk(la, lb, log_a, obs, log_like, start, stop).sum(axis=0)
+        shift = np.maximum(la[start:stop].max(axis=2, keepdims=True), _LOWEST)
+        p = np.exp(la[start:stop] - shift)
+        with np.errstate(over="ignore"):  # an overflow fails the test below
+            q = np.exp(obs[start:stop] + lb[start + 1:stop + 1] + (shift - log_like[:, None]))
+        if q.max() <= _Q_LIMIT:
+            counts += a * np.matmul(p.transpose(1, 2, 0), q.transpose(1, 0, 2))
+            continue
+        for sub in range(start, stop, xi_chunk):
+            counts += _xi_chunk(la, lb, log_a, obs, log_like, sub,
+                                min(sub + xi_chunk, stop)).sum(axis=0)
     return counts
 
 

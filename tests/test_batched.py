@@ -6,8 +6,11 @@ components and sequences, the way the package did before the recursions
 were batched. The dataset mixes lengths (T = 1 included), has a
 structural-zero transition, sparse mixing rows and a node without data.
 Small block and chunk sizes force several blocks per length and several
-time chunks per block.
+time chunks per block. The batched side runs each backward step form, and
+the per-pair reference always takes the log form.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,12 +54,13 @@ def per_pair_estep(model, data):
     n, m_count = len(data), model.num_components
     log_w = np.full((n, m_count), -np.inf)
     posts = {}
-    for i, item in enumerate(data.items):
-        row = model.alpha[item.node - 1]
-        for m in range(m_count):
-            if row[m] > 0.0:
-                posts[i, m] = posteriors(model.components[m], item.seq)
-                log_w[i, m] = np.log(row[m]) + posts[i, m].log_likelihood
+    with mock.patch.object(kernels, "backward_uses_matmul", lambda b, s: False):
+        for i, item in enumerate(data.items):
+            row = model.alpha[item.node - 1]
+            for m in range(m_count):
+                if row[m] > 0.0:
+                    posts[i, m] = posteriors(model.components[m], item.seq)
+                    log_w[i, m] = np.log(row[m]) + posts[i, m].log_likelihood
     ll = np.array([float(kernels.logsumexp(r)) for r in log_w])
     return np.exp(log_w - ll[:, None]), ll, posts
 
@@ -99,13 +103,21 @@ def assert_components_close(got, expected):
         np.testing.assert_array_equal(a.transition == 0.0, b.transition == 0.0)
 
 
-@pytest.fixture(params=["default", "small"])
+@pytest.fixture(params=["default", "small", "default-log", "small-log", "default-matmul",
+                        "small-matmul"])
 def block_sizes(request, monkeypatch):
-    """Default block and chunk sizes, or sizes small enough to split every length."""
-    if request.param == "small":
+    """Default block and chunk sizes, or sizes small enough to split every length.
+
+    A "-log" or "-matmul" suffix forces that backward step form on every
+    batched block; without one the cost model picks it.
+    """
+    sizes, _, form = request.param.partition("-")
+    if sizes == "small":
         monkeypatch.setattr(mixture, "BLOCK_CELLS", 18)
         monkeypatch.setattr(kernels, "CHUNK_CELLS", 9)
-    return request.param
+    if form:
+        monkeypatch.setattr(kernels, "backward_uses_matmul", lambda b, s: form == "matmul")
+    return sizes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,8 +1,10 @@
-"""The recursion kernels must keep -inf exact and never produce nan."""
+"""The recursion kernels must keep -inf exact and never produce nan, in either backward form."""
 
 import numpy as np
+import pytest
 
 from graphhmm import kernels
+from graphhmm.hmm import gaussian_log_densities
 
 
 class TestNegativeInfinity:
@@ -32,3 +34,87 @@ class TestNegativeInfinity:
         lb = kernels.backward(log_a, log_obs)
         assert not np.isnan(lb).any()
         assert np.all(np.isfinite(lb))
+
+
+def _log(x):
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def left_right_chain():
+    """log_pi, log_a and log_obs of an S=16, T=400 left-right chain whose data walks the states.
+
+    Means lie 10 apart with variance 0.25, so one forward row spans more
+    than 10**6 nats.
+    """
+    a = np.diag(np.full(16, 0.9)) + np.diag(np.full(15, 0.1), 1)
+    a[-1, -1] = 1.0
+    means = 10.0 * np.arange(16)
+    x = means[np.arange(400) * 16 // 400] + np.random.default_rng(0).normal(0.0, 0.5, 400)
+    log_obs = gaussian_log_densities(x[:, None], means[:, None], np.full((16, 1), 0.25))
+    return _log(np.eye(16)[0]), _log(a), log_obs
+
+
+class TestBackwardForms:
+    def test_cost_model_picks(self):
+        # the E-step blocks of the benchmark workloads: fit-graph (S = 3) and fit-long
+        for b_count in (117, 172, 280, 455):
+            assert not kernels.backward_uses_matmul(b_count, 3)
+        assert kernels.backward_uses_matmul(12, 16)
+        # the largest blocks (about mixture.BLOCK_CELLS cells) cross over near S = 6
+        assert not kernels.backward_uses_matmul(256, 4)
+        assert not kernels.backward_uses_matmul(113, 6)
+        assert kernels.backward_uses_matmul(64, 8)
+        # a single sequence and a few pairs take the matmul form at any S
+        for s_count in (1, 2, 3, 64, 128):
+            assert kernels.backward_uses_matmul(1, s_count)
+        assert kernels.backward_uses_matmul(8, 3) and not kernels.backward_uses_matmul(16, 3)
+
+    @pytest.mark.parametrize("b_count,s_count,matmul", [(455, 3, False), (12, 16, True)])
+    def test_block_runs_the_chosen_form(self, b_count, s_count, matmul, monkeypatch):
+        rng = np.random.default_rng(1)
+        log_a = np.log(rng.dirichlet(np.ones(s_count), size=(b_count, s_count)))
+        log_obs = rng.normal(size=(b_count, 5, s_count))
+        calls = []
+        logsumexp = kernels.logsumexp
+        monkeypatch.setattr(kernels, "logsumexp", lambda *a, **k: calls.append(1) or logsumexp(*a, **k))
+        kernels.backward_pairs(log_a, log_obs)
+        # the log form runs one logsumexp per step, the matmul form none
+        assert len(calls) == (0 if matmul else 5)
+
+    def test_matmul_guard_on_left_right_chain(self, monkeypatch):
+        log_pi, log_a, log_obs = left_right_chain()
+        monkeypatch.setattr(kernels, "backward_uses_matmul", lambda b, s: False)
+        reference = kernels.backward(log_a, log_obs)
+        monkeypatch.setattr(kernels, "backward_uses_matmul", lambda b, s: True)
+        lb = kernels.backward(log_a, log_obs)
+        assert np.all(np.isfinite(reference))
+        np.testing.assert_array_equal(np.isneginf(lb), np.isneginf(reference))
+        np.testing.assert_allclose(lb, reference, rtol=0, atol=1e-12)
+        la = kernels.forward(log_pi, log_a, log_obs)
+        ll = kernels.logsumexp(la[-1])
+        counts = kernels.transition_counts(la[None], lb[None], log_a[None], log_obs[None],
+                                           np.array([ll]))
+        np.testing.assert_allclose(counts.sum(), log_obs.shape[0], rtol=1e-12)
+        # without the guard the shifted exps lose whole rows on this chain
+        monkeypatch.setattr(kernels, "_TINY", 0.0)
+        assert np.isneginf(kernels.backward(log_a, log_obs)).any()
+
+    def test_count_guard_on_absorbing_chain(self, monkeypatch):
+        # state 0 is absorbing, so the six final observations at state 1's mean
+        # mean state 1 all along, though after the first five observations the
+        # forward row favours state 0 by ~1000 nats
+        log_a = _log(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        x = np.array([0.0] * 5 + [10.0] * 6)[:, None]
+        log_obs = gaussian_log_densities(x, np.array([[0.0], [10.0]]), np.full((2, 1), 0.25))
+        la = kernels.forward(np.log([0.5, 0.5]), log_a, log_obs)
+        lb = kernels.backward(log_a, log_obs)
+        ll = np.array([kernels.logsumexp(la[-1])])
+        args = (la[None], lb[None], log_a[None], log_obs[None], ll)
+        expected = kernels.transition_posteriors(la, lb, log_a, log_obs, ll[0]).sum(axis=0)
+        np.testing.assert_allclose(expected, [[0.0, 0.0], [0.0, 11.0]], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(kernels.transition_counts(*args)[0], expected, rtol=0, atol=1e-12)
+        # without the guard the contraction loses state 1's factors
+        monkeypatch.setattr(kernels, "_Q_LIMIT", np.inf)
+        with np.errstate(all="ignore"):
+            assert not np.allclose(kernels.transition_counts(*args)[0], expected)
