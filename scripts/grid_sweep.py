@@ -27,6 +27,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,9 +44,27 @@ INT_KNOBS = {"num_components", "num_states", "outer_iters", "inner_iters",
              "rng_seed"}
 
 
+def _knob_value(path, key, value):
+    """One grid value under the rules io applies to every input file.
+
+    Only JSON numbers are accepted: strings, booleans and null are refused,
+    and an integer knob takes a JSON integer (not 2.9, not 2.0).
+    """
+    if key in INT_KNOBS:
+        if type(value) is not int:
+            raise ValueError(f"{path}: {key} must be a JSON integer, got {json.dumps(value)}")
+        return value
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{path}: {key} must be a finite JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_grid(path):
     with open(path, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
+        try:
+            grid = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(grid, dict):
         raise ValueError(f"{path}: grid file must be a JSON object")
     unknown = sorted(set(grid) - set(KNOBS))
@@ -62,8 +81,7 @@ def load_grid(path):
             values = [values]
         if not values:
             raise ValueError(f"{path}: {key} must not be an empty list")
-        cast = int if key in INT_KNOBS else float
-        axes.append([cast(v) for v in values])
+        axes.append([_knob_value(path, key, v) for v in values])
     return [dict(zip(KNOBS, combo)) for combo in itertools.product(*axes)]
 
 

@@ -209,6 +209,21 @@ def _draw(cdf: np.ndarray, u) -> np.ndarray:
     return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
+def _chains(hmm: GaussianHmm, lead: tuple, state: np.ndarray, length: int, rng):
+    """Yield the (n, D) emissions of n chains from state[i], one step at a time.
+
+    lead indexes hmm's leading axes: () for a single HMM, (comp,) for a stack
+    whose component comp[i] chain i runs. Each step draws n uniforms for the
+    transitions, then n * D normals for the emissions.
+    """
+    transition_cdf = _cdf(hmm.transition)
+    std = np.sqrt(hmm.variances)
+    for _ in range(length):
+        state = _draw(transition_cdf[(*lead, state)], rng.random(state.size))
+        at = (*lead, state)
+        yield hmm.means[at] + std[at] * rng.standard_normal((state.size, hmm.dim))
+
+
 def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
     """Draw one sequence of the given length by ancestral sampling.
 
@@ -219,11 +234,5 @@ def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(rng)
-    std = np.sqrt(hmm.variances)
-    transition_cdf = _cdf(hmm.transition)
-    out = np.empty((length, hmm.dim))
-    state = _draw(_cdf(hmm.initial), rng.random())
-    for t in range(length):
-        state = _draw(transition_cdf[state], rng.random())
-        out[t] = rng.normal(hmm.means[state], std[state])
-    return out
+    state = _draw(_cdf(hmm.initial), rng.random(1))
+    return np.concatenate(list(_chains(hmm, (), state, length, rng)))

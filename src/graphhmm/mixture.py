@@ -275,34 +275,52 @@ def pair_log_densities(components: GaussianHmm, seqs: list, seq: np.ndarray,
     return out.transpose(1, 0, 2)
 
 
-def _live_pair_blocks(model: SparseMixtureModel, seqs: list, nodes: np.ndarray):
+def _live_pair_blocks(weights: np.ndarray, seqs: list, num_states: int):
     """Yield (seq, comp) index arrays of blocks of live pairs.
 
-    Pair (i, m) is live when alpha[nodes[i] - 1, m] > 0. Live pairs are ordered
-    by sequence length, then record, then component, and cut into blocks of
-    one length and at most max(1, BLOCK_CELLS // S**2) pairs.
+    Pair (i, m), seqs[i] under component m, is live when weights[i, m] > 0.
+    Live pairs are ordered by sequence length, then record, then component,
+    and cut into blocks of one length and at most max(1, BLOCK_CELLS // S**2) pairs.
     """
     lengths = np.array([x.shape[0] for x in seqs])
-    seq, comp = np.nonzero(model.alpha[nodes - 1] > 0.0)
+    seq, comp = np.nonzero(weights > 0.0)
     order = np.argsort(lengths[seq], kind="stable")
     seq, comp = seq[order], comp[order]
-    size = max(1, BLOCK_CELLS // (model.num_states * model.num_states))
+    size = max(1, BLOCK_CELLS // (num_states * num_states))
     cuts = np.flatnonzero(np.diff(lengths[seq])) + 1
     for run_seq, run_comp in zip(np.split(seq, cuts), np.split(comp, cuts)):
         for start in range(0, run_seq.size, size):
             yield run_seq[start:start + size], run_comp[start:start + size]
 
 
-def _block_forward(components: GaussianHmm, seqs: list, seq: np.ndarray, comp: np.ndarray):
-    """Forward pass over one block of live pairs.
+def _block_forward(components: GaussianHmm, seqs: list, seq: np.ndarray, comp: np.ndarray,
+                   log_init: np.ndarray = None):
+    """Forward pass over one block of live pairs, from log_init (M, S) when given.
 
     Returns the log transitions (B, S, S), emission log-densities, forward
     tables and each pair's log-likelihood under its component alone.
     """
     log_obs = pair_log_densities(components, seqs, seq, comp)
     log_pi, log_a = log_params(components[comp])
+    if log_init is not None:
+        log_pi = log_init[comp]
     la = kernels.forward_pairs(log_pi, log_a, log_obs)
     return log_a, log_obs, la, kernels.logsumexp(la[:, -1], axis=1)
+
+
+def _live_pair_ends(components: GaussianHmm, weights: np.ndarray, seqs: list,
+                    log_init: np.ndarray = None):
+    """Yield (seq, comp, end, ll, log_w) for each block of live pairs of weights (N, M).
+
+    For pair b, record seq[b] under component comp[b]: end[b] is its last
+    forward row, ll[b] its log-likelihood and log_w[b] = log weight + ll[b].
+    log_init is passed to _block_forward. Only the end rows are kept, so one
+    block's tables are held at a time.
+    """
+    for seq, comp in _live_pair_blocks(weights, seqs, components.num_states):
+        end, ll = _block_forward(components, seqs, seq, comp, log_init)[2:]
+        end = end[:, -1].copy()  # drops the block's tables before the next are built
+        yield seq, comp, end, ll, np.log(weights[seq, comp]) + ll
 
 
 def _block_posteriors(components: GaussianHmm, seqs: list, seq: np.ndarray,
@@ -330,16 +348,6 @@ def _checked_nodes(model: SparseMixtureModel, dataset: SequenceDataset) -> np.nd
     return nodes
 
 
-def _mixture_log_weights(model: SparseMixtureModel, seqs: list, nodes: np.ndarray) -> np.ndarray:
-    """log alpha[node_i, m] + log p(seq_i | component m), shape (N, M); -inf where not live."""
-    log_w = np.full((len(seqs), model.num_components), -np.inf)
-    for seq, comp in _live_pair_blocks(model, seqs, nodes):
-        # keep only the log-likelihoods, so the block's tables are freed here
-        ll = _block_forward(model.components, seqs, seq, comp)[3]
-        log_w[seq, comp] = np.log(model.alpha[nodes[seq] - 1, comp]) + ll
-    return log_w
-
-
 def mixture_log_likelihoods(model: SparseMixtureModel, dataset: SequenceDataset) -> np.ndarray:
     """log p(seq_i | node_i) for every record, shape (N,).
 
@@ -347,9 +355,12 @@ def mixture_log_likelihoods(model: SparseMixtureModel, dataset: SequenceDataset)
     whose coefficient is exactly zero are skipped. A record with zero
     likelihood under every live component gets -inf.
     """
-    seqs = [item.seq for item in dataset.items]
-    return kernels.logsumexp(_mixture_log_weights(model, seqs, _checked_nodes(model, dataset)),
-                             axis=1)
+    weights = model.alpha[_checked_nodes(model, dataset) - 1]
+    log_w = np.full(weights.shape, -np.inf)
+    for seq, comp, _, _, block_w in _live_pair_ends(
+            model.components, weights, [item.seq for item in dataset.items]):
+        log_w[seq, comp] = block_w
+    return kernels.logsumexp(log_w, axis=1)
 
 
 def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int) -> float:
@@ -360,7 +371,7 @@ def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int
     """
     node = check_node(model, node)
     seq = validate_sequence(seq, model.dim)
-    return float(kernels.logsumexp(_mixture_log_weights(model, [seq], np.array([node]))[0]))
+    return float(mixture_log_likelihoods(model, SequenceDataset([(node, seq)]))[0])
 
 
 def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> MixtureSufficientStats:
@@ -374,12 +385,13 @@ def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> M
     zero likelihood under every live component raises ValueError.
     """
     nodes = _checked_nodes(model, dataset)
+    weights = model.alpha[nodes - 1]
     seqs = [item.seq for item in dataset.items]
-    log_w = np.full((len(seqs), model.num_components), -np.inf)
+    log_w = np.full(weights.shape, -np.inf)
     blocks = []
-    for seq, comp in _live_pair_blocks(model, seqs, nodes):
+    for seq, comp in _live_pair_blocks(weights, seqs, model.num_states):
         block, ll = _block_posteriors(model.components, seqs, seq, comp)
-        log_w[seq, comp] = np.log(model.alpha[nodes[seq] - 1, comp]) + ll
+        log_w[seq, comp] = np.log(weights[seq, comp]) + ll
         blocks.append(block)
     seq_ll = kernels.logsumexp(log_w, axis=1)
     zero = np.flatnonzero(seq_ll == -np.inf)

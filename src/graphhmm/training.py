@@ -30,6 +30,12 @@ from .mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
 logger = logging.getLogger(__name__)
 
 RESPONSIBILITY_EPS = 1e-12
+# Adam's moment decay rates and denominator guard on the score updates.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# A relative objective improvement below this counts toward the plateau.
+PLATEAU_TOL = 1e-6
 
 
 @dataclass
@@ -38,7 +44,7 @@ class TrainConfig:
 
     lam is the regularization strength; outer_iters caps EM iterations and
     inner_iters the per-M-step Adam iterations on the scores. Training stops
-    early once the relative objective improvement stays below plateau_tol
+    early once the relative objective improvement stays below PLATEAU_TOL
     for plateau_patience consecutive iterations.
     """
 
@@ -46,10 +52,6 @@ class TrainConfig:
     outer_iters: int = 100
     inner_iters: int = 100
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    plateau_tol: float = 1e-6
     plateau_patience: int = 5
     rng_seed: int = 0
 
@@ -60,8 +62,6 @@ class TrainConfig:
             raise ValueError("iteration counts must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("Adam decay rates must lie in [0, 1)")
 
 
 @dataclass
@@ -103,16 +103,18 @@ class AdamState:
 def adam_ascent_step(state: AdamState, grad: np.ndarray, config: TrainConfig) -> np.ndarray:
     """Bias-corrected Adam step in the ascent direction."""
     state.t += 1
-    state.m = config.adam_beta1 * state.m + (1.0 - config.adam_beta1) * grad
-    state.v = config.adam_beta2 * state.v + (1.0 - config.adam_beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - config.adam_beta1 ** state.t)
-    v_hat = state.v / (1.0 - config.adam_beta2 ** state.t)
-    return config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    return config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _warn(warnings: list, msg: str) -> None:
-    logger.warning(msg)
-    if warnings is not None:
+    """Report msg once: into the caller's list when one is given, else to the logger."""
+    if warnings is None:
+        logger.warning(msg)
+    else:
         warnings.append(msg)
 
 
@@ -397,7 +399,7 @@ def fit(dataset: SequenceDataset, graph: AffinityGraph, config: TrainConfig,
         objectives.append(objective)
         if prev is not None:
             rel = (objective - prev) / max(abs(prev), RESPONSIBILITY_EPS)
-            plateau_run = plateau_run + 1 if rel < config.plateau_tol else 0
+            plateau_run = plateau_run + 1 if rel < PLATEAU_TOL else 0
         prev = objective
         if plateau_run >= config.plateau_patience:
             break

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphhmm
 from graphhmm import io
 from graphhmm.cli import main
 from graphhmm.evaluation import score_dataset
@@ -148,6 +152,23 @@ class TestTrain:
         _, meta = io.load_model(str(out))
         assert meta["standardization"] is not None
         assert meta["standardization"]["per_node"] is False
+
+    def test_each_warning_printed_once(self, tmp_path):
+        # run as a program, where no logging handler is configured: a warning
+        # that also went to a logger reached stderr a second time, unprefixed
+        data, graph = tmp_path / "d.jsonl", tmp_path / "g.json"
+        io.save_dataset(SequenceDataset([(1, np.arange(4.0)[:, None] + i) for i in range(5)]),
+                        str(data))
+        write_graph(graph, [[0.0, 1.0], [1.0, 0.0]])
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(graphhmm.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphhmm.cli", "train", "--data", str(data), "--graph",
+             str(graph), "--components", "1", "--states", "2", "--outer-iters", "2",
+             "--out", str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "warning: node 2: no training sequences, mixing row left unchanged"] * 2
 
     def test_missing_data_file(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope.jsonl"), "--components",

@@ -128,6 +128,29 @@ class TestPredictiveLikelihood:
             got = predictive_log_likelihood(condition(model, prefix, 2), cont)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
+    def test_sums_only_the_live_terms(self):
+        # M = 12 with one zero coefficient: logsumexp over all 12 entries
+        # (the -inf one included) groups numpy's pairwise sum differently
+        # and lands one ulp away on this seed
+        rng = np.random.default_rng(75)
+        tr = rng.uniform(size=(12, 3, 3))
+        tr /= tr.sum(axis=2, keepdims=True)
+        ini = rng.uniform(size=(12, 3))
+        ini /= ini.sum(axis=1, keepdims=True)
+        alpha = rng.uniform(size=(1, 12))
+        alpha[0, 5] = 0.0
+        alpha /= alpha.sum()
+        comps = GaussianHmm(ini, tr, rng.normal(size=(12, 3, 2)),
+                            rng.uniform(0.5, 2, size=(12, 3, 2)))
+        x = rng.normal(size=(12, 2))
+        post = condition(SparseMixtureModel(comps, alpha), x[:8], 1)
+        live = np.flatnonzero(post.weights > 0.0)
+        terms = np.array([np.log(post.weights[m]) + log_likelihood(
+            GaussianHmm(post.conditional_initials[m], tr[m], comps.means[m],
+                        comps.variances[m]), x[8:]) for m in live])
+        assert live.size == 11
+        assert predictive_log_likelihood(post, x[8:]) == float(kernels.logsumexp(terms))
+
     def test_single_state_prefix_is_uninformative(self):
         # with one state the conditioned initial equals the prior initial,
         # so the predictive likelihood is the plain likelihood

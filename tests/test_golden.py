@@ -1,10 +1,13 @@
-"""Byte-for-byte guard on fixed-seed training output.
+"""Byte-for-byte guard on fixed-seed training and forecasting output.
 
 A tiny seed-0 fit in each training mode must save exactly the model file
 committed under tests/data/. A refactor that changes any parameter by one
-ulp, the parameter order or the file layout fails here. The data and the
-graph are drawn with numpy alone, so the guard does not lean on the
-package's own sampling code.
+ulp, the parameter order or the file layout fails here. Forecasting is
+pinned the same way: the conditioned weights and initials, the predictive
+log-likelihood and fixed-seed forecast means of a small sparse model must
+render exactly as in golden_forecast.json. The data, the graph and the
+forecast model are drawn with numpy alone, so the guard does not lean on
+the package's own sampling code.
 
 To rewrite the files after an intended change of numbers:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -16,8 +19,10 @@ import sys
 import numpy as np
 import pytest
 
-from graphhmm.io import save_model
-from graphhmm.mixture import AffinityGraph, SequenceDataset
+from graphhmm.forecast import condition, forecast_mean, predictive_log_likelihood
+from graphhmm.hmm import GaussianHmm
+from graphhmm.io import canonical_dumps, save_model
+from graphhmm.mixture import AffinityGraph, SequenceDataset, SparseMixtureModel
 from graphhmm.training import InitSpec, TrainConfig, fit
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -46,6 +51,48 @@ def golden_fit(mode: str, path: str) -> None:
     save_model(result.model, path, metadata={"objectives": result.objectives})
 
 
+def forecast_model() -> SparseMixtureModel:
+    """K=2 nodes over M=4 components with S=3 states and D=2 features.
+
+    Node 1 gives component 4 and node 2 component 1 a zero coefficient.
+    Component 2 is left-right, with zeros in its initial distribution and
+    transitions. Component 3 sits so far from the data that its posterior
+    weight underflows to exactly zero though its coefficient is positive.
+    """
+    rng = np.random.default_rng(1)
+    transition = rng.uniform(0.2, 1.0, size=(4, 3, 3))
+    transition[1] = [[0.6, 0.4, 0.0], [0.0, 0.7, 0.3], [0.0, 0.0, 1.0]]
+    transition /= transition.sum(axis=2, keepdims=True)
+    initial = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.4, 0.3, 0.3], [0.1, 0.1, 0.8]])
+    means = rng.normal(0.0, 1.5, size=(4, 3, 2))
+    means[2] += 60.0
+    variances = rng.uniform(0.3, 1.2, size=(4, 3, 2))
+    alpha = np.array([[0.5, 0.2, 0.3, 0.0], [0.0, 0.6, 0.1, 0.3]])
+    return SparseMixtureModel(GaussianHmm(initial, transition, means, variances), alpha)
+
+
+def golden_forecasts(path: str) -> None:
+    """Condition on one prefix per node, score a continuation, forecast at seeds 0 and 1."""
+    model = forecast_model()
+    rng = np.random.default_rng(2)
+    doc = {}
+    for node in (1, 2):
+        prefix = rng.normal(0.0, 1.5, size=(6, 2))
+        continuation = rng.normal(0.0, 1.5, size=(3, 2))
+        post = condition(model, prefix, node)
+        doc[f"node_{node}"] = {
+            "weights": post.weights.tolist(),
+            "conditional_initials": post.conditional_initials.tolist(),
+            "inert": post.inert.tolist(),
+            "predictive_log_likelihood": predictive_log_likelihood(post, continuation),
+            "forecast_mean": [forecast_mean(model, prefix, node, 3, 25, seed).tolist()
+                              for seed in (0, 1)],
+        }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_dumps(doc))
+        fh.write("\n")
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_fit_reproduces_committed_model_file(mode, tmp_path):
     out = tmp_path / f"{mode}.json"
@@ -54,8 +101,17 @@ def test_fit_reproduces_committed_model_file(mode, tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def test_forecasts_reproduce_committed_file(tmp_path):
+    out = tmp_path / "forecast.json"
+    golden_forecasts(str(out))
+    with open(os.path.join(DATA_DIR, "golden_forecast.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 if __name__ == "__main__":
     os.makedirs(DATA_DIR, exist_ok=True)
     for name in sorted(MODES):
         golden_fit(name, os.path.join(DATA_DIR, f"golden_{name}.json"))
         print(f"wrote {os.path.join(DATA_DIR, f'golden_{name}.json')}", file=sys.stderr)
+    golden_forecasts(os.path.join(DATA_DIR, "golden_forecast.json"))
+    print(f"wrote {os.path.join(DATA_DIR, 'golden_forecast.json')}", file=sys.stderr)

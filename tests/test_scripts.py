@@ -83,3 +83,27 @@ class TestGridSweep:
                               "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "momentum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("outer_iters", 2.9), ("outer_iters", True),
+                                            ("lam", "0.5"), ("learning_rate", None)])
+    def test_grid_values_must_be_json_numbers(self, grid_sweep, sweep_inputs, tmp_path,
+                                              capsys, key, value):
+        train_path, _ = sweep_inputs
+        grid_path = str(tmp_path / "grid.json")
+        with open(grid_path, "w", encoding="utf-8") as fh:
+            json.dump({"num_components": 1, "num_states": 2, key: value}, fh)
+        rc = grid_sweep.main(["--train", train_path, "--grid", grid_path,
+                              "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid_path}: {key} must be")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_malformed_grid_names_the_file(self, grid_sweep, sweep_inputs, tmp_path, capsys):
+        train_path, _ = sweep_inputs
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text('{"num_components": 1,', encoding="utf-8")
+        rc = grid_sweep.main(["--train", train_path, "--grid", str(grid_path),
+                              "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {grid_path}: invalid JSON")
