@@ -172,8 +172,8 @@ def log_likelihood(hmm: GaussianHmm, seq: np.ndarray) -> float:
     seq = validate_sequence(seq, hmm.dim)
     log_pi, log_a = log_params(hmm)
     log_obs = gaussian_log_densities(seq, hmm.means, hmm.variances)
-    log_alpha = kernels.forward(log_pi, log_a, log_obs)
-    return float(kernels.logsumexp(log_alpha[-1]))
+    end = kernels.forward_ends(log_pi[None], log_a[None], log_obs[None])[0]
+    return float(kernels.logsumexp(end))
 
 
 def posteriors(hmm: GaussianHmm, seq: np.ndarray) -> StatePosteriors:

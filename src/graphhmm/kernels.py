@@ -15,11 +15,31 @@ form that shifts each row by its maximum, exps only B * S cells and lets
 BLAS do the S * S products. Where the matmul form's sum comes out zero or
 subnormal (rows spanning more than ~700 nats, as in left-right chains),
 those entries are redone in log form, so both forms leave the same exact
-``-inf`` pattern. The forward pass keeps the log form: it also scores
-single sequences, whose cost must stay quadratic in S, and a matmul forward
-timed S = 128 at only 1.2-1.5x S = 64 for one sequence of T = 60 (the
-S-doubling check in tests/test_hmm.py asks for 2x-8x; the log form reads
-about 2.1-2.5x).
+``-inf`` pattern.
+
+End rows. Scoring and forecasting read only the last forward row of each
+pair, which ``forward_ends`` returns. Its tree form writes that row as a
+product of T step matrices, exp(log_pi) M_1 ... M_T with M_t = A
+diag(b(x_t)), each rescaled by its largest entry, and multiplies
+neighbouring factors pairwise, so the T sequential log-form steps become
+ceil(log2 T) levels of one stacked matmul each (the associative scan of
+Sarkka and Garcia-Fernandez, "Temporal parallelization of Bayesian
+smoothers", 2021, reduced to its last element). It does B * T matrix
+products of S**3 multiply-adds, so the cost model in ``forward_uses_tree``
+gives it the blocks where per-step overhead dominates: few pairs at small
+S, such as a forecast prefix under its live components. Blocks of many
+narrow pairs, such as the scoring blocks of 100-455 pairs at S = 3, and
+wide single sequences (S >= 64) keep the log form, and a block whose
+(B, T, S, S) stack would exceed TREE_CELLS never takes the tree form. The
+guard: if an entry of a step matrix, or of a product before it is
+rescaled, falls below TREE_FLOOR, the whole block takes the log form.
+Every product entry is then a sum of positive terms of at least
+TREE_FLOOR = 2**-900, where a term lost to underflow (below 2**-1022) moves
+it by less than S * 2**-122 relative, and each pair's end row is finite
+exactly where the log form's is. Structural zeros (left-right chains, a
+zero-likelihood observation) and components whose states lie hundreds of
+nats apart on the data fail the guard, so their exact ``-inf`` pattern is
+always the log form's.
 
 ``transition_counts`` sums the pairwise posteriors over time per pair as
 one batched matmul per time chunk, with O(B * T * S) exps, and never builds
@@ -45,6 +65,16 @@ CHUNK_CELLS = 32768
 # x86-64 host (numpy 2.4, OpenBLAS on one thread): about 5 ns a cell.
 LOG_STEP_CELLS = 400
 MATMUL_PAIR_CELLS = 40
+# forward_uses_tree's cost model in the same cells, measured on the same kind
+# of host, where a cell took 6-10 ns: one sequential numpy step, a log-form
+# timestep or a tree level, costs about 20 us, and BLAS does about 16
+# multiply-adds in the time of one cell.
+FORWARD_STEP_CELLS = 2500
+MATMUL_CELL_FLOPS = 16
+# forward_ends' tree form: the largest (B, T, S, S) stack of step matrices
+# it builds (1 MiB of float64), and the exactness floor of its entries.
+TREE_CELLS = 2 ** 17
+TREE_FLOOR = 2.0 ** -900
 # Largest Q factor transition_counts contracts. Below it, a term whose P
 # factor underflowed (P < 2**-1022) is itself below 2**-958, too small to
 # move a count.
@@ -82,6 +112,74 @@ def forward_pairs(log_pi, log_a, log_obs):
     for t in range(1, t_len + 1):
         la[t] = logsumexp(la[t - 1].T[:, :, None] + a_from, axis=0) + obs[t - 1]
     return la.transpose(1, 0, 2)
+
+
+def forward_uses_tree(b_count: int, t_len: int, s_count: int) -> bool:
+    """Whether forward_ends computes a block of B pairs, T steps and S states in tree form.
+
+    The cost model counts log-form cells, as backward_uses_matmul does. The
+    log form costs T steps of FORWARD_STEP_CELLS plus B * T * S * S cells.
+    The tree form takes ceil(log2 T) levels plus one step of set-up, and
+    per step matrix the same S * S cells of exps, one matrix in numpy's
+    stacked matmul (MATMUL_PAIR_CELLS) and S**3 multiply-adds at
+    MATMUL_CELL_FLOPS a cell. A stack of more than TREE_CELLS cells is
+    refused outright. So a forecast prefix (2 pairs, T = 30, S = 3 or 16)
+    and a few long sequences take the tree form, while the scoring blocks
+    of 100-455 pairs at S = 3 and one sequence at S >= 64 keep the log form.
+    """
+    cells = b_count * t_len * s_count * s_count
+    if cells > TREE_CELLS:
+        return False
+    log_cost = t_len * FORWARD_STEP_CELLS + cells
+    tree_cost = ((t_len - 1).bit_length() + 1) * FORWARD_STEP_CELLS + cells \
+        + b_count * t_len * (MATMUL_PAIR_CELLS + s_count ** 3 / MATMUL_CELL_FLOPS)
+    return tree_cost < log_cost
+
+
+def _tree_ends(log_pi, log_a, log_obs):
+    """End rows log(exp(log_pi - c) M_1 ... M_T) + c + sum of the scales, or None.
+
+    M_t = exp(log_a + log_obs[:, t - 1, None, :] - c_t) with c_t the largest
+    entry of its logs. Neighbouring factors are multiplied pairwise, level
+    by level, and each product is divided by its largest entry, whose log
+    joins the pair's scale. None when an entry of a step matrix or of a
+    product, before it is divided, is below TREE_FLOOR.
+    """
+    logs = log_a[:, None] + log_obs[:, :, None, :]  # (B, T, S, S)
+    # an all -inf matrix gets a finite shift, so its exps are 0 and fail the floor
+    shift = np.maximum(logs.max(axis=(2, 3)), _LOWEST)
+    mats = np.exp(logs - shift[:, :, None, None])
+    if mats.min() < TREE_FLOOR:
+        return None
+    scale = shift.sum(axis=1)
+    while mats.shape[1] > 1:
+        count = mats.shape[1]
+        prod = np.matmul(mats[:, 0:count - 1:2], mats[:, 1:count:2])
+        if count % 2:
+            prod[:, -1] = np.matmul(prod[:, -1], mats[:, -1])
+        if prod.min() < TREE_FLOOR:
+            return None
+        top = prod.max(axis=(2, 3), keepdims=True)
+        mats = prod / top
+        scale += np.log(top).sum(axis=(1, 2, 3))
+    pi_shift = np.maximum(log_pi.max(axis=1, keepdims=True), _LOWEST)
+    row = np.matmul(np.exp(log_pi - pi_shift)[:, None], mats[:, 0])[:, 0]
+    with np.errstate(divide="ignore"):  # an all -inf log_pi gives -inf, as in log form
+        return np.log(row) + (scale[:, None] + pi_shift)
+
+
+def forward_ends(log_pi, log_a, log_obs):
+    """Last forward rows log p(x_1..x_T, state_T = s) per pair, shape (B, S).
+
+    Takes the same arguments as forward_pairs. The tree form runs where
+    forward_uses_tree picks it and its TREE_FLOOR guard holds; otherwise
+    the result is forward_pairs' last row.
+    """
+    if forward_uses_tree(*log_obs.shape):
+        end = _tree_ends(log_pi, log_a, log_obs)
+        if end is not None:
+            return end
+    return forward_pairs(log_pi, log_a, log_obs)[:, -1].copy()  # frees the tables
 
 
 def backward_uses_matmul(b_count: int, s_count: int) -> bool:

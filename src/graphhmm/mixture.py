@@ -282,30 +282,20 @@ def _live_pair_blocks(weights: np.ndarray, seqs: list, num_states: int):
     Live pairs are ordered by sequence length, then record, then component,
     and cut into blocks of one length and at most max(1, BLOCK_CELLS // S**2) pairs.
     """
-    lengths = np.array([x.shape[0] for x in seqs])
-    seq, comp = np.nonzero(weights > 0.0)
-    order = np.argsort(lengths[seq], kind="stable")
-    seq, comp = seq[order], comp[order]
+    seq, comp = np.nonzero(weights > 0.0)  # ordered by record, then component
+    lengths = [x.shape[0] for x in seqs]
+    if min(lengths) == max(lengths):  # one run, already in order
+        runs = [(seq, comp)]
+    else:
+        lengths = np.array(lengths)
+        order = np.argsort(lengths[seq], kind="stable")
+        seq, comp = seq[order], comp[order]
+        cuts = np.flatnonzero(np.diff(lengths[seq])) + 1
+        runs = zip(np.split(seq, cuts), np.split(comp, cuts))
     size = max(1, BLOCK_CELLS // (num_states * num_states))
-    cuts = np.flatnonzero(np.diff(lengths[seq])) + 1
-    for run_seq, run_comp in zip(np.split(seq, cuts), np.split(comp, cuts)):
+    for run_seq, run_comp in runs:
         for start in range(0, run_seq.size, size):
             yield run_seq[start:start + size], run_comp[start:start + size]
-
-
-def _block_forward(components: GaussianHmm, seqs: list, seq: np.ndarray, comp: np.ndarray,
-                   log_init: np.ndarray = None):
-    """Forward pass over one block of live pairs, from log_init (M, S) when given.
-
-    Returns the log transitions (B, S, S), emission log-densities, forward
-    tables and each pair's log-likelihood under its component alone.
-    """
-    log_obs = pair_log_densities(components, seqs, seq, comp)
-    log_pi, log_a = log_params(components[comp])
-    if log_init is not None:
-        log_pi = log_init[comp]
-    la = kernels.forward_pairs(log_pi, log_a, log_obs)
-    return log_a, log_obs, la, kernels.logsumexp(la[:, -1], axis=1)
 
 
 def _live_pair_ends(components: GaussianHmm, weights: np.ndarray, seqs: list,
@@ -314,12 +304,16 @@ def _live_pair_ends(components: GaussianHmm, weights: np.ndarray, seqs: list,
 
     For pair b, record seq[b] under component comp[b]: end[b] is its last
     forward row, ll[b] its log-likelihood and log_w[b] = log weight + ll[b].
-    log_init is passed to _block_forward. Only the end rows are kept, so one
-    block's tables are held at a time.
+    The forward pass starts from log_init (M, S) when given, else from the
+    components' initial distributions. Only the end rows are computed, by
+    kernels.forward_ends.
     """
     for seq, comp in _live_pair_blocks(weights, seqs, components.num_states):
-        end, ll = _block_forward(components, seqs, seq, comp, log_init)[2:]
-        end = end[:, -1].copy()  # drops the block's tables before the next are built
+        log_pi, log_a = log_params(components[comp])
+        if log_init is not None:
+            log_pi = log_init[comp]
+        end = kernels.forward_ends(log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
+        ll = kernels.logsumexp(end, axis=1)
         yield seq, comp, end, ll, np.log(weights[seq, comp]) + ll
 
 
@@ -330,7 +324,10 @@ def _block_posteriors(components: GaussianHmm, seqs: list, seq: np.ndarray,
     The block's forward and backward tables are freed on return, so only one
     block's tables are held at a time.
     """
-    log_a, log_obs, la, ll = _block_forward(components, seqs, seq, comp)
+    log_obs = pair_log_densities(components, seqs, seq, comp)
+    log_pi, log_a = log_params(components[comp])
+    la = kernels.forward_pairs(log_pi, log_a, log_obs)
+    ll = kernels.logsumexp(la[:, -1], axis=1)
     lb = kernels.backward_pairs(log_a, log_obs)
     # at zero likelihood la + lb is -inf (or too small for exp) at every
     # cell, so normalizing by log 1 instead of log 0 leaves exact zeros, not nan

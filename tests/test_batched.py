@@ -6,16 +6,20 @@ components and sequences, the way the package did before the recursions
 were batched. The dataset mixes lengths (T = 1 included), has a
 structural-zero transition, sparse mixing rows and a node without data.
 Small block and chunk sizes force several blocks per length and several
-time chunks per block. The batched side runs each backward step form, and
-the per-pair reference always takes the log form.
+time chunks per block. The batched side runs each backward step form and
+each end-row form of the forward-only paths (scoring, ``condition`` and
+``predictive_log_likelihood``), and the per-pair reference always takes the
+log form.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from graphhmm import kernels, mixture
+from graphhmm.forecast import condition, predictive_log_likelihood
 from graphhmm.hmm import VARIANCE_FLOOR, GaussianHmm, gaussian_log_densities, posteriors
 from graphhmm.mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
                               SparseMixtureModel, mixture_log_likelihood,
@@ -104,19 +108,23 @@ def assert_components_close(got, expected):
 
 
 @pytest.fixture(params=["default", "small", "default-log", "small-log", "default-matmul",
-                        "small-matmul"])
+                        "small-matmul", "default-ends-log", "small-ends-log", "default-ends-tree",
+                        "small-ends-tree"])
 def block_sizes(request, monkeypatch):
     """Default block and chunk sizes, or sizes small enough to split every length.
 
     A "-log" or "-matmul" suffix forces that backward step form on every
-    batched block; without one the cost model picks it.
+    batched block, and an "-ends-log" or "-ends-tree" suffix that end-row
+    form (kernels.forward_ends); otherwise the cost models pick them.
     """
     sizes, _, form = request.param.partition("-")
     if sizes == "small":
         monkeypatch.setattr(mixture, "BLOCK_CELLS", 18)
         monkeypatch.setattr(kernels, "CHUNK_CELLS", 9)
-    if form:
+    if form in ("log", "matmul"):
         monkeypatch.setattr(kernels, "backward_uses_matmul", lambda b, s: form == "matmul")
+    elif form:
+        monkeypatch.setattr(kernels, "forward_uses_tree", lambda b, t, s: form == "ends-tree")
     return sizes
 
 
@@ -143,6 +151,38 @@ def test_estep_matches_per_pair(seed, block_sizes):
     for i, item in enumerate(data.items):
         np.testing.assert_allclose(mixture_log_likelihood(model, item.seq, item.node), ll[i],
                                    rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forecast_matches_per_pair(seed, block_sizes):
+    model, data = make_case(seed)
+    rng = np.random.default_rng(seed + 10)
+    with mock.patch.object(kernels, "backward_uses_matmul", lambda b, s: False):
+        for item in data.items:
+            post = condition(model, item.seq, item.node)
+            row = model.alpha[item.node - 1]
+            log_w = np.full(row.size, -np.inf)
+            initials = np.zeros((row.size, model.num_states))
+            for m in np.flatnonzero(row > 0.0):
+                smoothed = posteriors(model.components[m], item.seq)
+                log_w[m] = np.log(row[m]) + smoothed.log_likelihood
+                initials[m] = smoothed.gamma[-1]
+            weights = np.exp(log_w - kernels.logsumexp(log_w))
+            np.testing.assert_allclose(post.weights, weights, rtol=0, atol=ATOL)
+            np.testing.assert_array_equal(post.inert, weights == 0.0)
+            live = np.flatnonzero(~post.inert)
+            np.testing.assert_allclose(post.conditional_initials[live], initials[live],
+                                       rtol=0, atol=ATOL)
+
+            cont = rng.normal(size=(5, 2)) * 1.5
+            terms = []
+            for m in live:
+                comp = model.components[m]
+                conditioned = GaussianHmm(post.conditional_initials[m], comp.transition,
+                                          comp.means, comp.variances)
+                terms.append(np.log(post.weights[m]) + posteriors(conditioned, cont).log_likelihood)
+            np.testing.assert_allclose(predictive_log_likelihood(post, cont),
+                                       kernels.logsumexp(np.array(terms)), rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -188,3 +228,29 @@ def test_pair_densities_equal_one_call_per_pair():
         for b, (i, m) in enumerate(zip(seq, comp)):
             expected = gaussian_log_densities(seqs[i], comps[m].means, comps[m].variances)
             assert np.array_equal(got[b], expected)
+
+
+def reference_blocks(weights, seqs, num_states):
+    """Live (record, component) pairs sorted by (length, record, component), cut per length and size."""
+    live = sorted((seqs[i].shape[0], int(i), int(m)) for i, m in zip(*np.nonzero(weights > 0.0)))
+    size = max(1, mixture.BLOCK_CELLS // num_states ** 2)
+    blocks = []
+    for _, run in itertools.groupby(live, key=lambda pair: pair[0]):
+        run = [(i, m) for _, i, m in run]
+        blocks += [run[start:start + size] for start in range(0, len(run), size)]
+    return blocks
+
+
+@pytest.mark.parametrize("block_cells", [mixture.BLOCK_CELLS, 18], ids=["default", "small"])
+@pytest.mark.parametrize("lengths", [[3, 1, 3, 2, 1, 3], [4] * 6, [5]],
+                         ids=["mixed", "equal", "single"])
+def test_live_pair_blocks_order(lengths, block_cells, monkeypatch):
+    # one length takes the path without the sort; both must give this order
+    monkeypatch.setattr(mixture, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(4)
+    weights = rng.random((len(lengths), 4)) * (rng.random((len(lengths), 4)) < 0.6)
+    weights[:, 2] += 0.1
+    seqs = [np.zeros((t, 2)) for t in lengths]
+    got = [list(zip(seq.tolist(), comp.tolist()))
+           for seq, comp in mixture._live_pair_blocks(weights, seqs, 3)]
+    assert got == reference_blocks(weights, seqs, 3)

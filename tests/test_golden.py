@@ -10,11 +10,17 @@ forecast model are drawn with numpy alone, so the guard does not lean on
 the package's own sampling code.
 
 To rewrite the files after an intended change of numbers:
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``. It prints, per file, the
+largest absolute difference between the numbers of the committed file and
+the new one before it rewrites the file.
 """
 
+import json
+import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -108,10 +114,36 @@ def test_forecasts_reproduce_committed_file(tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def largest_difference(old, new) -> float:
+    """Largest absolute difference between the numbers of two JSON documents.
+
+    Any other difference, in keys, lengths, strings or booleans, reads as inf.
+    """
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return max((largest_difference(old[k], new[k]) for k in old), default=0.0)
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max((largest_difference(a, b) for a, b in zip(old, new)), default=0.0)
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return 0.0 if old == new else abs(new - old)
+    return 0.0 if old == new else math.inf
+
+
+def rewrite(name: str, write) -> None:
+    """Write a golden file with write(path), first printing its difference from the old one."""
+    path = os.path.join(DATA_DIR, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        new_path = os.path.join(tmp, name)
+        write(new_path)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as old, open(new_path, encoding="utf-8") as new:
+                diff = largest_difference(json.load(old), json.load(new))
+            print(f"{name}: largest difference, old to new: {diff:.3g}")
+        shutil.copyfile(new_path, path)
+    print(f"wrote {path}", file=sys.stderr)
+
+
 if __name__ == "__main__":
     os.makedirs(DATA_DIR, exist_ok=True)
-    for name in sorted(MODES):
-        golden_fit(name, os.path.join(DATA_DIR, f"golden_{name}.json"))
-        print(f"wrote {os.path.join(DATA_DIR, f'golden_{name}.json')}", file=sys.stderr)
-    golden_forecasts(os.path.join(DATA_DIR, "golden_forecast.json"))
-    print(f"wrote {os.path.join(DATA_DIR, 'golden_forecast.json')}", file=sys.stderr)
+    for mode in sorted(MODES):
+        rewrite(f"golden_{mode}.json", lambda path, mode=mode: golden_fit(mode, path))
+    rewrite("golden_forecast.json", golden_forecasts)

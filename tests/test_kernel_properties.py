@@ -1,19 +1,30 @@
-"""Property checks of the E-step kernels against path enumeration.
+"""Property checks of the recursion kernels against path enumeration.
 
-``backward_pairs`` and ``transition_counts`` run on random blocks of one to
-three pairs with T <= 4 and S <= 3: zero entries in ``initial``, an
-unreachable state, left-right chains, structural zeros of the transitions
-and a pair at zero likelihood. Every case runs under both backward step
-forms and at the default and a tiny time chunk. The backward tables, their
-exact -inf pattern and the expected transition counts must match an oracle
-that enumerates every hidden path, and also the log-form reference: the
-log-form backward step and the summed pairwise posteriors of ``_xi_chunk``.
+The kernels run on random blocks of one to three pairs with S <= 3: zero
+entries in ``initial``, an unreachable state, left-right chains, structural
+zeros of the transitions and a pair at zero likelihood; the forward checks
+add a far-off pair whose states lie 1000 nats apart on the data.
+
+``backward_pairs`` and ``transition_counts`` (T <= 4) run under both
+backward step forms and at the default and a tiny time chunk. The backward
+tables, their exact -inf pattern and the expected transition counts must
+match an oracle that enumerates every hidden path, and also the log-form
+reference: the log-form backward step and the summed pairwise posteriors of
+``_xi_chunk``.
+
+``forward_pairs`` and ``forward_ends`` (T <= 6, odd and even) run with the
+end-row form forced to the log or the tree form, and under the cost model at
+a tiny TREE_CELLS budget. The forward tables and end rows must match path
+enumeration, and the end rows the log form's last row with its exact -inf
+pattern. One sequence of T = 10**4 is checked against the forward recursion
+in mpmath, where nothing underflows.
 """
 
 import itertools
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +64,8 @@ def make_block(kind, s_count, t_len, b_count, seed, scale):
         a[zero] = 0.0
     elif kind == "zero_likelihood":  # no state can emit one observation of pair 0
         log_obs[0, rng.integers(t_len)] = -np.inf
+    elif kind == "far_off":  # pair 0's states lie 1000 nats apart on the data
+        log_obs[0] -= 1000.0 * np.arange(1, s_count + 1)
     pi /= pi.sum(axis=-1, keepdims=True)
     a /= a.sum(axis=-1, keepdims=True)
     return _log(pi), _log(a), log_obs
@@ -86,6 +99,20 @@ def enumerate_pair(log_pi, log_a, log_obs):
             for t in range(t_len):
                 counts[path[t], path[t + 1]] += math.exp(lp - ll)
     return lb, ll, counts
+
+
+def enumerate_forward(log_pi, log_a, log_obs):
+    """Forward table of one pair, (T + 1, S), over every path prefix."""
+    t_len, s_count = log_obs.shape
+    table = np.empty((t_len + 1, s_count))
+    prefixes = {(s,): log_pi[s] for s in range(s_count)}
+    for t in range(t_len + 1):
+        for s in range(s_count):
+            table[t, s] = _logsumexp([lp for path, lp in prefixes.items() if path[-1] == s])
+        if t < t_len:
+            prefixes = {path + (u,): lp + log_a[path[-1], u] + log_obs[t, u]
+                        for path, lp in prefixes.items() for u in range(s_count)}
+    return table
 
 
 def assert_same_table(got, expected, atol):
@@ -141,3 +168,66 @@ def test_kernels_match_path_enumeration(matmul, chunk_cells, kind, s_count, t_le
                                          log_obs.transpose(1, 0, 2), safe_ll, 0, t_len).sum(axis=0)
     np.testing.assert_allclose(counts, reference_counts, rtol=0, atol=ATOL)
     np.testing.assert_array_equal(counts == 0.0, reference_counts == 0.0)
+
+
+@pytest.mark.parametrize("form", ["log", "tree", "budget-9"])
+@SETTINGS
+@given(kind=st.sampled_from(KINDS + ("far_off",)), s_count=st.integers(1, 3),
+       t_len=st.integers(1, 6),
+       b_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 30.0, 600.0]))
+@example(kind="dense", s_count=3, t_len=5, b_count=2, seed=7, scale=1.0)
+@example(kind="dense", s_count=3, t_len=6, b_count=3, seed=8, scale=30.0)
+@example(kind="dense", s_count=1, t_len=5, b_count=2, seed=9, scale=1.0)
+@example(kind="dense", s_count=2, t_len=1, b_count=2, seed=10, scale=1.0)
+@example(kind="zero_initial", s_count=3, t_len=4, b_count=2, seed=11, scale=1.0)
+@example(kind="left_right", s_count=3, t_len=5, b_count=2, seed=12, scale=1.0)
+@example(kind="zero_likelihood", s_count=2, t_len=4, b_count=2, seed=13, scale=1.0)
+@example(kind="far_off", s_count=3, t_len=6, b_count=3, seed=14, scale=1.0)
+def test_forward_matches_path_enumeration(form, kind, s_count, t_len, b_count, seed, scale):
+    log_pi, log_a, log_obs = make_block(kind, s_count, t_len, b_count, seed, scale)
+    if form == "budget-9":
+        with mock.patch.object(kernels, "TREE_CELLS", 9):
+            end = kernels.forward_ends(log_pi, log_a, log_obs)
+    else:
+        with mock.patch.object(kernels, "forward_uses_tree", lambda b, t, s: form == "tree"):
+            end = kernels.forward_ends(log_pi, log_a, log_obs)
+    if form == "tree" and kind == "dense" and scale == 1.0:
+        # the case ran the tree form, not its log-form fallback
+        assert kernels._tree_ends(log_pi, log_a, log_obs) is not None
+    la = kernels.forward_pairs(log_pi, log_a, log_obs)
+    assert end.shape == (b_count, s_count)
+    assert not np.isnan(la).any() and not np.isnan(end).any()
+    for b in range(b_count):
+        expected = enumerate_forward(log_pi[b], log_a[b], log_obs[b])
+        assert_same_table(la[b], expected, ORACLE_ATOL)
+        assert_same_table(end[b], expected[-1], ORACLE_ATOL)
+    assert_same_table(end, la[:, -1], ATOL)
+
+
+def mpmath_end_row(log_pi, log_a, log_obs):
+    """log of the last forward row, stepped in linear domain at 30 digits."""
+    mpmath.mp.dps = 30
+    a = [[mpmath.exp(x) for x in row] for row in log_a]
+    alpha = [mpmath.exp(x) for x in log_pi]
+    for obs in log_obs:
+        emit = [mpmath.exp(x) for x in obs]
+        alpha = [emit[u] * mpmath.fsum(alpha[s] * a[s][u] for s in range(len(alpha)))
+                 for u in range(len(alpha))]
+    return np.array([float(mpmath.log(x)) for x in alpha])
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["log-form", "tree-form"])
+def test_long_sequence_end_row_matches_mpmath(tree):
+    # T = 10**4 at about -2.5 nats a step: the end row is far below the float range
+    log_pi, log_a, log_obs = make_block("dense", 2, 10_000, 1, 15, 1.0)
+    log_obs -= 2.5
+    expected = mpmath_end_row(log_pi[0], log_a[0], log_obs[0])
+    with mock.patch.object(kernels, "forward_uses_tree", lambda b, t, s: tree):
+        end = kernels.forward_ends(log_pi, log_a, log_obs)[0]
+    assert np.all(np.isfinite(end)) and end.max() < -20_000.0
+    if tree:
+        assert kernels._tree_ends(log_pi, log_a, log_obs) is not None
+    # each of the log form's 10**4 steps rounds at eps times the running
+    # value, which leaves it about 1e-13 off; the tree form stays within an ulp
+    np.testing.assert_allclose(end, expected, rtol=1e-12, atol=0)

@@ -1,4 +1,4 @@
-"""The recursion kernels must keep -inf exact and never produce nan, in either backward form."""
+"""The recursion kernels must keep -inf exact and never produce nan, in every step form."""
 
 import numpy as np
 import pytest
@@ -118,3 +118,78 @@ class TestBackwardForms:
         monkeypatch.setattr(kernels, "_Q_LIMIT", np.inf)
         with np.errstate(all="ignore"):
             assert not np.allclose(kernels.transition_counts(*args)[0], expected)
+
+
+def far_off_block(b_count, t_len, seed):
+    """A dense S = 3 block whose pair 0 lies far from its data: its states differ by 1000 nats."""
+    rng = np.random.default_rng(seed)
+    log_pi = np.log(rng.dirichlet(np.ones(3), size=b_count))
+    log_a = np.log(rng.dirichlet(np.ones(3), size=(b_count, 3)))
+    log_obs = rng.normal(size=(b_count, t_len, 3))
+    log_obs[0] -= 1000.0 * np.arange(1, 4)
+    return log_pi, log_a, log_obs
+
+
+class TestForwardEnds:
+    def test_cost_model_picks(self):
+        # forecast prefixes: 2 live pairs at T = 30 of score-forecast (S = 3)
+        # and fit-long (S = 16); one long sequence
+        for shape in ((2, 30, 3), (2, 30, 16), (1, 10000, 3)):
+            assert kernels.forward_uses_tree(*shape), shape
+        # scoring blocks of 125-455 pairs, fit-graph's final objective
+        # (276 pairs) and fit-long's (12 pairs at T = 1500, S = 16)
+        for shape in ((455, 50, 3), (125, 50, 3), (276, 30, 3), (12, 1500, 16)):
+            assert not kernels.forward_uses_tree(*shape), shape
+        # tests/test_hmm.py::TestScaling: both S-doubling shapes keep the log
+        # form, both T-doubling shapes take the tree form
+        assert not kernels.forward_uses_tree(1, 60, 64)
+        assert not kernels.forward_uses_tree(1, 60, 128)
+        assert kernels.forward_uses_tree(1, 400, 8) and kernels.forward_uses_tree(1, 800, 8)
+        # test_12_inference_scales_linearly: all three shapes take one form
+        for shape in ((4, 200, 3), (8, 200, 3), (4, 400, 3)):
+            assert kernels.forward_uses_tree(*shape), shape
+        # T <= 3 saves no sequential step
+        for t_len in (1, 2, 3):
+            assert not kernels.forward_uses_tree(1, t_len, 3)
+        # the (B, T, S, S) stack is bounded whatever the cost
+        assert kernels.forward_uses_tree(1, kernels.TREE_CELLS // 9, 3)
+        assert not kernels.forward_uses_tree(1, kernels.TREE_CELLS // 9 + 1, 3)
+
+    @pytest.mark.parametrize("tree", [False, True], ids=["log-form", "tree-form"])
+    def test_block_runs_the_chosen_form(self, tree, monkeypatch):
+        rng = np.random.default_rng(2)
+        log_pi = np.log(rng.dirichlet(np.ones(3), size=2))
+        log_a = np.log(rng.dirichlet(np.ones(3), size=(2, 3)))
+        log_obs = rng.normal(size=(2, 30, 3))
+        monkeypatch.setattr(kernels, "forward_uses_tree", lambda b, t, s: tree)
+        calls = []
+        logsumexp = kernels.logsumexp
+        monkeypatch.setattr(kernels, "logsumexp", lambda *a, **k: calls.append(1) or logsumexp(*a, **k))
+        end = kernels.forward_ends(log_pi, log_a, log_obs)
+        # the log form runs one logsumexp per step, the tree form none
+        assert len(calls) == (0 if tree else 30)
+        monkeypatch.setattr(kernels, "logsumexp", logsumexp)
+        reference = kernels.forward_pairs(log_pi, log_a, log_obs)[:, -1]
+        np.testing.assert_allclose(end, reference, rtol=1e-13, atol=0)
+
+    def test_tree_guard_on_far_off_component(self, monkeypatch):
+        log_pi, log_a, log_obs = far_off_block(2, 9, 3)
+        reference = kernels.forward_pairs(log_pi, log_a, log_obs)[:, -1]
+        assert np.all(np.isfinite(reference))
+        monkeypatch.setattr(kernels, "forward_uses_tree", lambda b, t, s: True)
+        assert kernels._tree_ends(log_pi, log_a, log_obs) is None
+        np.testing.assert_array_equal(kernels.forward_ends(log_pi, log_a, log_obs), reference)
+        # without the guard the far states' entries underflow to zero
+        monkeypatch.setattr(kernels, "TREE_FLOOR", 0.0)
+        with np.errstate(divide="ignore"):
+            assert np.isneginf(kernels.forward_ends(log_pi, log_a, log_obs)).any()
+
+    def test_tree_guard_on_products(self):
+        # state 1 falls to state 0 with probability e**-400 and emits e**-400
+        # times less, so each step matrix's entries span 400 nats (above the
+        # floor) and those of the product of two span 800 nats (below it)
+        log_a = np.log(np.array([[[0.5, 0.5], [np.exp(-400.0), 1.0 - np.exp(-400.0)]]]))
+        log_obs = np.array([[[0.0, -400.0], [0.0, -400.0]]])
+        log_pi = np.log(np.full((1, 2), 0.5))
+        assert kernels._tree_ends(log_pi, log_a, log_obs[:, :1]) is not None
+        assert kernels._tree_ends(log_pi, log_a, log_obs) is None
