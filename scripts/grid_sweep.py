@@ -24,7 +24,6 @@ set is scored instead (useful only for smoke runs, and flagged as such).
 """
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -60,11 +59,7 @@ def _knob_value(path, key, value):
 
 
 def load_grid(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            grid = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    grid = io.read_json(path)
     if not isinstance(grid, dict):
         raise ValueError(f"{path}: grid file must be a JSON object")
     unknown = sorted(set(grid) - set(KNOBS))
@@ -111,10 +106,7 @@ def run_sweep(combos, train, val, graph, out_path):
               f"seed={knobs['rng_seed']}: mean_avg_ll={row['mean_avg_ll']:.4f} "
               f"sparsity={row['sparsity']:.3f}")
     fields = list(KNOBS) + ["mode", "sparsity", "mean_avg_ll"]
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    io.save_csv(out_path, fields, [[row[f] for f in fields] for row in rows])
     best = max(rows, key=lambda r: r["mean_avg_ll"])
     print(f"wrote {out_path} ({len(rows)} rows)")
     print(f"best: M={best['num_components']} S={best['num_states']} "

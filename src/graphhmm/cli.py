@@ -7,7 +7,6 @@ usage errors.
 """
 
 import argparse
-import csv
 import os
 import sys
 
@@ -49,13 +48,6 @@ def _add(parser, flag, *, required=False, type=str, default=None, help="",
                         choices=choices, help=f"{help}{shown} [env: {env_key}]", **extra)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cmd_train(args) -> int:
     dataset = io.load_dataset(args.data)
     graph = None
@@ -82,8 +74,8 @@ def _cmd_train(args) -> int:
     }
     io.save_model(result.model, args.out, metadata)
     log_path = args.log_out if args.log_out else args.out + ".train.csv"
-    _write_csv(log_path, ["iteration", "objective"],
-               [(i, io.format_float(v)) for i, v in enumerate(result.objectives)])
+    io.save_csv(log_path, ["iteration", "objective"],
+                [(i, io.format_float(v)) for i, v in enumerate(result.objectives)])
     for msg in result.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     print(f"wrote {args.out} ({result.mode}, {len(result.objectives) - 1} iterations, "
@@ -109,9 +101,9 @@ def _cmd_score(args) -> int:
         dataset = io.apply_standardization(dataset, metadata["standardization"])
     scored = score_dataset(model, dataset)
     if args.scores_out:
-        _write_csv(args.scores_out, ["node", "length", "avg_log_likelihood", "label"],
-                   [(s.node, s.length, _format_score(s.avg_log_likelihood),
-                     s.label if s.label is not None else "") for s in scored])
+        io.save_csv(args.scores_out, ["node", "length", "avg_log_likelihood", "label"],
+                    [(s.node, s.length, _format_score(s.avg_log_likelihood),
+                      s.label if s.label is not None else "") for s in scored])
     labeled = [(s.avg_log_likelihood, s.label) for s in scored if s.label is not None]
     all_scores = [s.avg_log_likelihood for s in scored]
     summary = {
@@ -132,12 +124,10 @@ def _cmd_score(args) -> int:
         curve, auc = roc_auc(labeled)
         summary["auc"] = auc
         if args.roc_out:
-            _write_csv(args.roc_out, ["fpr", "tpr"],
-                       [(io.format_float(f), io.format_float(t)) for f, t in curve])
+            io.save_csv(args.roc_out, ["fpr", "tpr"],
+                        [(io.format_float(f), io.format_float(t)) for f, t in curve])
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(io.canonical_dumps(summary))
-            fh.write("\n")
+        io.save_json(summary, args.json_out)
     mean = summary["mean_avg_log_likelihood"]
     line = f"scored {summary['num_sequences']} sequences, mean avg ll " \
            + ("n/a" if mean is None else f"{mean:.6f}")
@@ -152,14 +142,18 @@ def _cmd_score(args) -> int:
 def _cmd_forecast(args) -> int:
     model, metadata = io.load_model(args.model)
     prefix_ds = io.load_dataset(args.prefix_file)
-    if metadata.get("standardization"):
-        prefix_ds = io.apply_standardization(prefix_ds, metadata["standardization"])
+    stats = metadata.get("standardization")
+    if stats:
+        prefix_ds = io.apply_standardization(prefix_ds, stats)
     item = prefix_ds.items[0]
     node = args.node if args.node is not None else item.node
     mean = forecast_mean(model, item.seq, node, args.horizon, args.samples, args.seed)
+    if stats:  # back to the data's units, with the stats that standardized the prefix
+        shift, scale = io.mean_std(stats, item.node, model.dim)
+        mean = mean * scale + shift
     header = ["step"] + [f"x{d + 1}" for d in range(mean.shape[1])]
-    _write_csv(args.out, header,
-               [[t + 1] + [io.format_float(v) for v in mean[t]] for t in range(mean.shape[0])])
+    io.save_csv(args.out, header,
+                [[t + 1] + [io.format_float(v) for v in mean[t]] for t in range(mean.shape[0])])
     print(f"wrote {args.out} ({mean.shape[0]} steps x {mean.shape[1]} features, "
           f"node {node}, {args.samples} samples)")
     return 0
@@ -175,9 +169,7 @@ def _cmd_cluster(args) -> int:
             "value": relative_sparsity(model, threshold=1e-6),
         },
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(io.canonical_dumps(doc))
-        fh.write("\n")
+    io.save_json(doc, args.out)
     print(f"wrote {args.out} (sparsity {doc['relative_sparsity']:.4f})")
     return 0
 

@@ -6,13 +6,17 @@ objects. Header counts are JSON integers >= 1. Dataset records are checked
 once, by SequenceDataset, and a failure is reported as path:line:.
 Standardization stats are checked where they are applied.
 
-Model and stats files are written canonically: keys in a fixed order and
-every float rendered with 17 significant digits (with a decimal point forced
-so floats never reparse as ints). Loading a file and saving it again
-reproduces the bytes exactly, and a fixed-seed training run writes
-byte-identical output every time.
+Every output file is written by _write from a JSON document or CSV table
+built whole, so one that fails to serialize leaves the target as it was;
+datasets hold checked records only and are streamed. JSON is canonical:
+keys in a fixed order and every float rendered with 17 significant digits
+(with a decimal point forced so floats never reparse as ints). Loading a
+file and saving it again reproduces the bytes exactly, and a fixed-seed
+training run writes byte-identical output every time.
 """
 
+import csv
+from io import StringIO
 from itertools import chain
 import json
 
@@ -72,8 +76,22 @@ def canonical_dumps(obj) -> str:
     return "".join(parts)
 
 
-def _float_rows(arr: np.ndarray) -> list:
-    return np.asarray(arr, dtype=np.float64).tolist()
+def _write(path: str, pieces) -> None:
+    """Write text that is already built; newline="" keeps each piece's line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(pieces)
+
+
+def save_json(doc, path: str) -> None:
+    """Write doc canonically, one line; it is serialized before the file is opened."""
+    _write(path, [canonical_dumps(doc), "\n"])
+
+
+def save_csv(path: str, header: list, rows) -> None:
+    """Write a header and rows with csv.writer (CRLF line ends), rendered before opening."""
+    text = StringIO()
+    csv.writer(text).writerows(chain([header], rows))
+    _write(path, [text.getvalue()])
 
 
 def _parse(text: str, where: str):
@@ -83,7 +101,7 @@ def _parse(text: str, where: str):
         raise ValueError(f"{where}: invalid JSON: {exc}") from None
 
 
-def _read_json(path: str):
+def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return _parse(fh.read(), path)
 
@@ -152,20 +170,20 @@ def load_dataset(path: str) -> SequenceDataset:
 
 
 def save_dataset(dataset: SequenceDataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    def lines():
         for item in dataset.items:
-            rec = {"node": item.node, "seq": _float_rows(item.seq)}
+            rec = {"node": item.node, "seq": item.seq.tolist()}
             if item.label is not None:
                 rec["label"] = item.label
-            fh.write(canonical_dumps(rec))
-            fh.write("\n")
+            yield canonical_dumps(rec) + "\n"
+    _write(path, lines())
 
 
 # ---------------------------------------------------------------------------
 # graphs
 
 def load_graph(path: str, normalize: bool = False) -> AffinityGraph:
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         if not isinstance(doc, dict) or "num_nodes" not in doc or "weights" not in doc:
             raise ValueError("graph file must contain 'num_nodes' and 'weights'")
@@ -180,10 +198,7 @@ def load_graph(path: str, normalize: bool = False) -> AffinityGraph:
 
 
 def save_graph(graph: AffinityGraph, path: str) -> None:
-    doc = {"num_nodes": graph.num_nodes, "weights": _float_rows(graph.weights)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(doc))
-        fh.write("\n")
+    save_json({"num_nodes": graph.num_nodes, "weights": graph.weights.tolist()}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +211,25 @@ def save_model(model: SparseMixtureModel, path: str, metadata: dict = None) -> N
         "num_components": model.num_components,
         "num_states": model.num_states,
         "dim": model.dim,
-        "alpha": _float_rows(model.alpha),
-        "beta": None if model.beta is None else _float_rows(model.beta),
+        "alpha": model.alpha.tolist(),
+        "beta": None if model.beta is None else model.beta.tolist(),
         "components": [
             {
-                "initial": _float_rows(c.initial),
-                "transition": _float_rows(c.transition),
-                "means": _float_rows(c.means),
-                "variances": _float_rows(c.variances),
+                "initial": c.initial.tolist(),
+                "transition": c.transition.tolist(),
+                "means": c.means.tolist(),
+                "variances": c.variances.tolist(),
             }
             for c in model.components
         ],
         "metadata": metadata if metadata is not None else {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(doc))
-        fh.write("\n")
+    save_json(doc, path)
 
 
 def load_model(path: str):
     """Load a model file. Returns (model, metadata)."""
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         return _model_from(doc)
     except ValueError as exc:
@@ -292,15 +305,16 @@ def standardization_stats(dataset: SequenceDataset, per_node: bool = False) -> d
     return {"per_node": True, "nodes": per}
 
 
-def _mean_std(stats: dict, node, dim: int) -> tuple:
-    """Checked (mean, std) of the pooled stats (node None) or of one node's entry.
+def mean_std(stats: dict, node: int, dim: int) -> tuple:
+    """Checked (mean, std) that standardize a record at node: the pooled
+    stats, or its node's entry when the stats are per node.
 
     Both hold dim numbers; mean is finite and std finite and > 0.
     """
-    if node is None:
+    if not stats.get("per_node"):
         entry, where = stats, "standardization stats"
-    elif node in stats["nodes"]:
-        entry, where = stats["nodes"][node], f"standardization stats for node {node}"
+    elif str(node) in stats["nodes"]:
+        entry, where = stats["nodes"][str(node)], f"standardization stats for node {node}"
     else:
         raise ValueError(f"stats file has no entry for node {node}")
     try:
@@ -339,22 +353,20 @@ def apply_standardization(dataset: SequenceDataset, stats: dict) -> SequenceData
     checked = {}
     items = []
     for item in dataset.items:
-        key = str(item.node) if per_node else None
+        key = item.node if per_node else None  # pooled stats are checked once
         if key not in checked:
-            checked[key] = _mean_std(stats, key, dataset.dim)
+            checked[key] = mean_std(stats, item.node, dataset.dim)
         mean, std = checked[key]
         items.append((item.node, (item.seq - mean) / std, item.label))
     return SequenceDataset(items)
 
 
 def save_stats(stats: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(stats))
-        fh.write("\n")
+    save_json(stats, path)
 
 
 def load_stats(path: str) -> dict:
-    stats = _read_json(path)
+    stats = read_json(path)
     if not isinstance(stats, dict) or ("mean" not in stats and "nodes" not in stats):
         raise ValueError(f"{path}: not a standardization stats file")
     return stats

@@ -103,14 +103,12 @@ def forward_pairs(log_pi, log_a, log_obs):
     view of a time-major (T + 1, B, S) array.
     """
     b_count, t_len, s_count = log_obs.shape
-    # a_from[s, b, u] = log_a[b, s, u]: each step reduces over the leading
-    # axis, which numpy does as whole-array operations however small S is
-    a_from = np.ascontiguousarray(log_a.transpose(1, 0, 2))
+    step = _log_step(log_a.swapaxes(1, 2))
     obs = np.ascontiguousarray(log_obs.transpose(1, 0, 2))
     la = np.empty((t_len + 1, b_count, s_count))
     la[0] = log_pi
     for t in range(1, t_len + 1):
-        la[t] = logsumexp(la[t - 1].T[:, :, None] + a_from, axis=0) + obs[t - 1]
+        la[t] = step(la[t - 1]) + obs[t - 1]
     return la.transpose(1, 0, 2)
 
 
@@ -197,7 +195,12 @@ def backward_uses_matmul(b_count: int, s_count: int) -> bool:
 
 
 def _log_step(log_a):
-    """Log-form backward step w -> lb[t] with w = obs[t] + lb[t + 1], each (B, S)."""
+    """Log-form step w -> logsumexp_u(w[b, u] + log_a[b, s, u]), each (B, S).
+
+    With w = obs[t] + lb[t + 1] it is the backward step; given the swapped
+    log_a[b, u, s] it is the forward step. Each step reduces over the leading
+    axis of a_to, which numpy does as whole-array operations however small S is.
+    """
     a_to = np.ascontiguousarray(log_a.transpose(2, 0, 1))  # a_to[u, b, s] = log_a[b, s, u]
     return lambda w: logsumexp(w.T[:, :, None] + a_to, axis=0)
 

@@ -338,7 +338,12 @@ def _block_posteriors(components: GaussianHmm, seqs: list, seq: np.ndarray,
 
 
 def _checked_nodes(model: SparseMixtureModel, dataset: SequenceDataset) -> np.ndarray:
-    """The records' node ids as one array, checked against K in one pass."""
+    """The records' node ids as one array, checked against K in one pass.
+
+    The dataset's feature dimension is checked against the model's here too.
+    """
+    if dataset.dim != model.dim:
+        raise ValueError(f"dataset has dimension {dataset.dim}, model expects {model.dim}")
     nodes = np.array([item.node for item in dataset.items], dtype=np.int64)
     if nodes.max() > model.num_nodes:  # the dataset already holds ids >= 1
         raise ValueError(f"node id {nodes.max()} out of range [1..{model.num_nodes}]")

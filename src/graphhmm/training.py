@@ -56,12 +56,14 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (0 <= self.lam < np.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (0 < self.learning_rate < np.inf):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.plateau_patience < 1:
+            raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
 
 
 @dataclass

@@ -14,6 +14,7 @@ import graphhmm
 from graphhmm import io
 from graphhmm.cli import main
 from graphhmm.evaluation import score_dataset
+from graphhmm.forecast import forecast_mean
 from graphhmm.hmm import GaussianHmm
 from graphhmm.mixture import AffinityGraph, SequenceDataset, SparseMixtureModel
 
@@ -170,6 +171,18 @@ class TestTrain:
         assert proc.stderr.splitlines() == [
             "warning: node 2: no training sequences, mixing row left unchanged"] * 2
 
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lr", "inf")])
+    def test_non_finite_hyperparameter_fails_before_fit(self, small_corpus, monkeypatch,
+                                                        capsys, flag, value):
+        # plain mode never reads lr, so a bad value used to surface only at save
+        monkeypatch.setattr("graphhmm.cli.fit", lambda *a: pytest.fail("fit ran"))
+        out = small_corpus["spec"]
+        before = out.read_bytes()
+        assert main(["train", "--data", str(small_corpus["data"]), "--components", "2",
+                     "--states", "2", flag, value, "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert out.read_bytes() == before
+
     def test_missing_data_file(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope.jsonl"), "--components",
                      "2", "--states", "2", "--out", str(tmp_path / "m.json")]) == 1
@@ -252,6 +265,18 @@ class TestScore:
         assert roc_rows[:2] == [[0.0, 0.0], [0.0, 0.5]]
         assert doc["auc"] == 0.75
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_data_dimension_must_match_the_model(self, tmp_path, capsys, dim):
+        # D = 1 data against a D = 2 model used to score, with AUC 1.0
+        model = tmp_path / "model.json"
+        io.save_model(SparseMixtureModel([GaussianHmm([1.0], [[1.0]], [[0.0, 0.0]],
+                                                      [[1.0, 1.0]])], [[1.0]]), str(model))
+        data = tmp_path / "data.jsonl"
+        io.save_dataset(SequenceDataset([(1, np.zeros((3, dim)), "normal"),
+                                         (1, np.full((3, dim), 9.0), "anomalous")]), str(data))
+        assert main(["score", "--model", str(model), "--data", str(data)]) == 1
+        assert f"dataset has dimension {dim}, model expects 2" in capsys.readouterr().err
+
     def test_standardized_model_transforms_input(self, small_corpus):
         d = small_corpus["dir"]
         model = d / "std_model.json"
@@ -288,6 +313,25 @@ class TestForecast:
         assert rows[0] == ["step", "x1"]
         assert len(rows) - 1 == 5
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5]
+
+    def test_standardized_model_forecasts_in_data_units(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        write_spec_model(spec, [[0.5, 0.5]], [96.0, 104.0], variances=[1.0, 1.0])
+        data, model, out = tmp_path / "d.jsonl", tmp_path / "m.json", tmp_path / "f.csv"
+        assert main(["generate", "--spec", str(spec), "--num-seqs", "10", "--length", "8",
+                     "--seed", "2", "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--components", "2", "--states", "2",
+                     "--outer-iters", "3", "--standardize", "--out", str(model)]) == 0
+        assert main(["forecast", "--model", str(model), "--prefix-file", str(data),
+                     "--horizon", "4", "--samples", "30", "--seed", "5",
+                     "--out", str(out)]) == 0
+        loaded, meta = io.load_model(str(model))
+        stats = meta["standardization"]
+        prefix = io.apply_standardization(io.load_dataset(str(data)), stats).items[0]
+        expected = (forecast_mean(loaded, prefix.seq, prefix.node, 4, 30, 5)
+                    * np.array(stats["std"]) + np.array(stats["mean"]))
+        assert [[float(v) for v in r[1:]] for r in read_csv_rows(out)[1:]] == expected.tolist()
+        assert np.all(np.abs(expected - 100.0) < 10.0)
 
     def test_node_override(self, tmp_path):
         # node 2 emits around +8, so forecasts for it must sit far above

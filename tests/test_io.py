@@ -229,6 +229,16 @@ class TestModelIo:
         np.testing.assert_array_equal(loaded.components[1].means, model.components[1].means)
         assert meta == {"trained_on": "demo"}
 
+    def test_failed_save_leaves_existing_file_intact(self, tmp_path):
+        rng = np.random.default_rng(13)
+        model = tiny_model(rng)
+        p = tmp_path / "m.json"
+        save_model(model, str(p), metadata={"run": 1})
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            save_model(model, str(p), metadata={"run": float("nan")})
+        assert p.read_bytes() == before
+
     def test_roundtrip_without_beta(self, tmp_path):
         rng = np.random.default_rng(4)
         model = tiny_model(rng, with_beta=False)

@@ -7,8 +7,9 @@ import pytest
 from graphhmm.hmm import GaussianHmm, sample
 from graphhmm.mixture import (AffinityGraph, RecordError, SequenceDataset,
                               SparseMixtureModel, coefficient_gradient,
-                              mixture_log_likelihood, mixture_posteriors, regularizer_value,
-                              reparameterize_rows, sample_from_node)
+                              mixture_log_likelihood, mixture_log_likelihoods,
+                              mixture_posteriors, regularizer_value, reparameterize_rows,
+                              sample_from_node)
 from graphhmm.training import em_step_mhmm
 
 from conftest import enum_mixture_log_likelihood, random_hmm
@@ -223,6 +224,16 @@ class TestResponsibilities:
                                 (4, rng.normal(size=(2, 1)))])
         with pytest.raises(ValueError, match=r"node id 5 out of range \[1\.\.3\]"):
             mixture_posteriors(model, data)
+
+    @pytest.mark.parametrize("fn", [mixture_log_likelihoods, mixture_posteriors])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_feature_dimension_must_match_the_model(self, fn, dim):
+        # D = 1 data used to broadcast silently against a D = 2 model
+        rng = np.random.default_rng(9)
+        model = make_mixture(rng, k=2, d=2)
+        data = SequenceDataset([(1, rng.normal(size=(4, dim))), (2, rng.normal(size=(3, dim)))])
+        with pytest.raises(ValueError, match=f"dataset has dimension {dim}, model expects 2"):
+            fn(model, data)
 
 
 class TestRegularizer:

@@ -381,13 +381,21 @@ class TestBaselines:
 
 class TestConfigValidation:
     def test_negative_lam(self):
-        with pytest.raises(ValueError, match="lam"):
-            TrainConfig(lam=-0.1)
+        for lam in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam"):
+                TrainConfig(lam=lam)
 
     def test_bad_iteration_counts(self):
         with pytest.raises(ValueError, match="iteration"):
             TrainConfig(outer_iters=0)
 
     def test_bad_learning_rate(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for lr in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=lr)
+
+    def test_bad_plateau_patience(self):
+        # a patience below 1 would stop every fit after its first EM iteration
+        for patience in (0, -3):
+            with pytest.raises(ValueError, match="plateau_patience"):
+                TrainConfig(plateau_patience=patience)
