@@ -86,10 +86,10 @@ def mean_score(model, dataset):
 
 
 def run_sweep(combos, train, val, graph, out_path):
+    if graph is None and any(knobs["lam"] > 0.0 for knobs in combos):
+        raise ValueError("grid contains lam > 0 but no --graph was given")
     rows = []
     for i, knobs in enumerate(combos, start=1):
-        if knobs["lam"] > 0.0 and graph is None:
-            raise ValueError("grid contains lam > 0 but no --graph was given")
         config = TrainConfig(lam=knobs["lam"], outer_iters=knobs["outer_iters"],
                              inner_iters=knobs["inner_iters"],
                              learning_rate=knobs["learning_rate"],

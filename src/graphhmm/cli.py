@@ -15,7 +15,7 @@ import numpy as np
 from . import io
 from .evaluation import cluster_assignments, relative_sparsity, roc_auc, score_dataset
 from .forecast import forecast_mean
-from .mixture import SequenceDataset, sample_from_node
+from .mixture import SequenceDataset, check_dim, sample_from_node
 from .training import InitSpec, TrainConfig, fit
 
 
@@ -97,6 +97,7 @@ def _finite_mean(values: list):
 def _cmd_score(args) -> int:
     model, metadata = io.load_model(args.model)
     dataset = io.load_dataset(args.data)
+    check_dim(model, dataset)  # before the stats, which hold the model's dimension
     if metadata.get("standardization"):
         dataset = io.apply_standardization(dataset, metadata["standardization"])
     scored = score_dataset(model, dataset)
@@ -142,6 +143,7 @@ def _cmd_score(args) -> int:
 def _cmd_forecast(args) -> int:
     model, metadata = io.load_model(args.model)
     prefix_ds = io.load_dataset(args.prefix_file)
+    check_dim(model, prefix_ds)  # before the stats, which hold the model's dimension
     stats = metadata.get("standardization")
     if stats:
         prefix_ds = io.apply_standardization(prefix_ds, stats)

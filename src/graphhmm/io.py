@@ -15,6 +15,7 @@ file and saving it again reproduces the bytes exactly, and a fixed-seed
 training run writes byte-identical output every time.
 """
 
+import copy
 import csv
 from io import StringIO
 from itertools import chain
@@ -343,7 +344,8 @@ def apply_standardization(dataset: SequenceDataset, stats: dict) -> SequenceData
     """(x - mean) / std per record, with the pooled stats or those of its node.
 
     The stats are checked here, against the dataset's dimension, whether they
-    come from a stats file or from a model's metadata.
+    come from a stats file or from a model's metadata. The records were
+    checked once, so only the new values are, for overflow.
     """
     if not isinstance(stats, dict):
         raise ValueError("standardization stats must be a JSON object")
@@ -352,13 +354,18 @@ def apply_standardization(dataset: SequenceDataset, stats: dict) -> SequenceData
         raise ValueError("per-node standardization stats need a 'nodes' object")
     checked = {}
     items = []
-    for item in dataset.items:
+    for i, item in enumerate(dataset.items):
         key = item.node if per_node else None  # pooled stats are checked once
         if key not in checked:
             checked[key] = mean_std(stats, item.node, dataset.dim)
         mean, std = checked[key]
-        items.append((item.node, (item.seq - mean) / std, item.label))
-    return SequenceDataset(items)
+        seq = (item.seq - mean) / std
+        if not np.all(np.isfinite(seq)):
+            raise RecordError(i, "sequence contains non-finite values")
+        items.append(item._replace(seq=seq))
+    out = copy.copy(dataset)
+    out.items = items
+    return out
 
 
 def save_stats(stats: dict, path: str) -> None:

@@ -321,20 +321,20 @@ def _block_posteriors(components: GaussianHmm, seqs: list, seq: np.ndarray,
                       comp: np.ndarray):
     """Posteriors of one block and each pair's log-likelihood under its component.
 
-    The block's forward and backward tables are freed on return, so only one
-    block's tables are held at a time.
+    One kernels.pair_posteriors call: the scaled forward-backward, or its
+    log form where the scaled form's guard fails. Its tables are freed on
+    return, so only one block's tables are held at a time.
     """
-    log_obs = pair_log_densities(components, seqs, seq, comp)
     log_pi, log_a = log_params(components[comp])
-    la = kernels.forward_pairs(log_pi, log_a, log_obs)
-    ll = kernels.logsumexp(la[:, -1], axis=1)
-    lb = kernels.backward_pairs(log_a, log_obs)
-    # at zero likelihood la + lb is -inf (or too small for exp) at every
-    # cell, so normalizing by log 1 instead of log 0 leaves exact zeros, not nan
-    safe_ll = np.where(ll == -np.inf, 0.0, ll)
-    gamma = np.exp(la + lb - safe_ll[:, None, None])
-    transitions = kernels.transition_counts(la, lb, log_a, log_obs, safe_ll)
+    gamma, transitions, ll = kernels.pair_posteriors(
+        log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
     return PairBlock(seq, comp, gamma, transitions), ll
+
+
+def check_dim(model: SparseMixtureModel, dataset: SequenceDataset) -> None:
+    """Raise ValueError unless the dataset's feature dimension is the model's."""
+    if dataset.dim != model.dim:
+        raise ValueError(f"dataset has dimension {dataset.dim}, model expects {model.dim}")
 
 
 def _checked_nodes(model: SparseMixtureModel, dataset: SequenceDataset) -> np.ndarray:
@@ -342,8 +342,7 @@ def _checked_nodes(model: SparseMixtureModel, dataset: SequenceDataset) -> np.nd
 
     The dataset's feature dimension is checked against the model's here too.
     """
-    if dataset.dim != model.dim:
-        raise ValueError(f"dataset has dimension {dataset.dim}, model expects {model.dim}")
+    check_dim(model, dataset)
     nodes = np.array([item.node for item in dataset.items], dtype=np.int64)
     if nodes.max() > model.num_nodes:  # the dataset already holds ids >= 1
         raise ValueError(f"node id {nodes.max()} out of range [1..{model.num_nodes}]")
@@ -379,8 +378,9 @@ def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int
 def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> MixtureSufficientStats:
     """One E-step sweep: component responsibilities and state posteriors.
 
-    Forward, backward and the transition counts run once per timestep per
-    block of live pairs of one length (see _live_pair_blocks). Pairs with
+    Each block of live pairs of one length (see _live_pair_blocks) takes one
+    kernels.pair_posteriors call: the scaled forward-backward, or its log
+    form where the scaled form's guard fails. Pairs with
     alpha[node_i, m] == 0 are skipped; their eta is exactly zero and they
     appear in no block. A live pair with zero likelihood under its own
     component also gets eta exactly zero and zero posteriors. A record with

@@ -6,14 +6,13 @@ components and sequences, the way the package did before the recursions
 were batched. The dataset mixes lengths (T = 1 included), has a
 structural-zero transition, sparse mixing rows and a node without data.
 Small block and chunk sizes force several blocks per length and several
-time chunks per block. The batched side runs each backward step form and
-each end-row form of the forward-only paths (scoring, ``condition`` and
-``predictive_log_likelihood``), and the per-pair reference always takes the
-log form.
+time chunks per block. The batched side runs each E-step form (scaled and
+log) and each end-row form of the forward-only paths (scoring,
+``condition`` and ``predictive_log_likelihood``), and the per-pair
+reference always takes the log form.
 """
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,13 +57,12 @@ def per_pair_estep(model, data):
     n, m_count = len(data), model.num_components
     log_w = np.full((n, m_count), -np.inf)
     posts = {}
-    with mock.patch.object(kernels, "backward_uses_matmul", lambda b, s: False):
-        for i, item in enumerate(data.items):
-            row = model.alpha[item.node - 1]
-            for m in range(m_count):
-                if row[m] > 0.0:
-                    posts[i, m] = posteriors(model.components[m], item.seq)
-                    log_w[i, m] = np.log(row[m]) + posts[i, m].log_likelihood
+    for i, item in enumerate(data.items):
+        row = model.alpha[item.node - 1]
+        for m in range(m_count):
+            if row[m] > 0.0:
+                posts[i, m] = posteriors(model.components[m], item.seq)
+                log_w[i, m] = np.log(row[m]) + posts[i, m].log_likelihood
     ll = np.array([float(kernels.logsumexp(r)) for r in log_w])
     return np.exp(log_w - ll[:, None]), ll, posts
 
@@ -113,16 +111,22 @@ def assert_components_close(got, expected):
 def block_sizes(request, monkeypatch):
     """Default block and chunk sizes, or sizes small enough to split every length.
 
-    A "-log" or "-matmul" suffix forces that backward step form on every
-    batched block, and an "-ends-log" or "-ends-tree" suffix that end-row
-    form (kernels.forward_ends); otherwise the cost models pick them.
+    A "-log" suffix sends every E-step block to the log form, and a
+    "-matmul" suffix requires every block to take the scaled form, which
+    steps by matmuls; an "-ends-log" or "-ends-tree" suffix forces that
+    end-row form (kernels.forward_ends). Otherwise the guard and the cost
+    model pick them.
     """
     sizes, _, form = request.param.partition("-")
     if sizes == "small":
         monkeypatch.setattr(mixture, "BLOCK_CELLS", 18)
         monkeypatch.setattr(kernels, "CHUNK_CELLS", 9)
-    if form in ("log", "matmul"):
-        monkeypatch.setattr(kernels, "backward_uses_matmul", lambda b, s: form == "matmul")
+    if form == "log":
+        monkeypatch.setattr(kernels, "_scaled_posteriors", lambda *args: None)
+    elif form == "matmul":
+        def log_form(*args):
+            raise AssertionError("a block fell back to the log form")
+        monkeypatch.setattr(kernels, "_log_posteriors", log_form)
     elif form:
         monkeypatch.setattr(kernels, "forward_uses_tree", lambda b, t, s: form == "ends-tree")
     return sizes
@@ -157,32 +161,31 @@ def test_estep_matches_per_pair(seed, block_sizes):
 def test_forecast_matches_per_pair(seed, block_sizes):
     model, data = make_case(seed)
     rng = np.random.default_rng(seed + 10)
-    with mock.patch.object(kernels, "backward_uses_matmul", lambda b, s: False):
-        for item in data.items:
-            post = condition(model, item.seq, item.node)
-            row = model.alpha[item.node - 1]
-            log_w = np.full(row.size, -np.inf)
-            initials = np.zeros((row.size, model.num_states))
-            for m in np.flatnonzero(row > 0.0):
-                smoothed = posteriors(model.components[m], item.seq)
-                log_w[m] = np.log(row[m]) + smoothed.log_likelihood
-                initials[m] = smoothed.gamma[-1]
-            weights = np.exp(log_w - kernels.logsumexp(log_w))
-            np.testing.assert_allclose(post.weights, weights, rtol=0, atol=ATOL)
-            np.testing.assert_array_equal(post.inert, weights == 0.0)
-            live = np.flatnonzero(~post.inert)
-            np.testing.assert_allclose(post.conditional_initials[live], initials[live],
-                                       rtol=0, atol=ATOL)
+    for item in data.items:
+        post = condition(model, item.seq, item.node)
+        row = model.alpha[item.node - 1]
+        log_w = np.full(row.size, -np.inf)
+        initials = np.zeros((row.size, model.num_states))
+        for m in np.flatnonzero(row > 0.0):
+            smoothed = posteriors(model.components[m], item.seq)
+            log_w[m] = np.log(row[m]) + smoothed.log_likelihood
+            initials[m] = smoothed.gamma[-1]
+        weights = np.exp(log_w - kernels.logsumexp(log_w))
+        np.testing.assert_allclose(post.weights, weights, rtol=0, atol=ATOL)
+        np.testing.assert_array_equal(post.inert, weights == 0.0)
+        live = np.flatnonzero(~post.inert)
+        np.testing.assert_allclose(post.conditional_initials[live], initials[live],
+                                   rtol=0, atol=ATOL)
 
-            cont = rng.normal(size=(5, 2)) * 1.5
-            terms = []
-            for m in live:
-                comp = model.components[m]
-                conditioned = GaussianHmm(post.conditional_initials[m], comp.transition,
-                                          comp.means, comp.variances)
-                terms.append(np.log(post.weights[m]) + posteriors(conditioned, cont).log_likelihood)
-            np.testing.assert_allclose(predictive_log_likelihood(post, cont),
-                                       kernels.logsumexp(np.array(terms)), rtol=0, atol=ATOL)
+        cont = rng.normal(size=(5, 2)) * 1.5
+        terms = []
+        for m in live:
+            comp = model.components[m]
+            conditioned = GaussianHmm(post.conditional_initials[m], comp.transition,
+                                      comp.means, comp.variances)
+            terms.append(np.log(post.weights[m]) + posteriors(conditioned, cont).log_likelihood)
+        np.testing.assert_allclose(predictive_log_likelihood(post, cont),
+                                   kernels.logsumexp(np.array(terms)), rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

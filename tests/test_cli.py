@@ -277,6 +277,21 @@ class TestScore:
         assert main(["score", "--model", str(model), "--data", str(data)]) == 1
         assert f"dataset has dimension {dim}, model expects 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "forecast"])
+    def test_dimension_checked_before_the_stats(self, small_corpus, tmp_path, capsys, command):
+        # D = 2 data against a D = 1 standardized model used to report the stats' shape
+        model = tmp_path / "std_model.json"
+        assert main(["train", "--data", str(small_corpus["data"]), "--components", "2",
+                     "--states", "2", "--outer-iters", "2", "--standardize",
+                     "--out", str(model)]) == 0
+        data = tmp_path / "wide.jsonl"
+        io.save_dataset(SequenceDataset([(1, np.zeros((3, 2)))]), str(data))
+        args = {"score": ["--data", str(data)],
+                "forecast": ["--prefix-file", str(data), "--out", str(tmp_path / "f.csv")]}
+        capsys.readouterr()
+        assert main([command, "--model", str(model)] + args[command]) == 1
+        assert capsys.readouterr().err == "error: dataset has dimension 2, model expects 1\n"
+
     def test_standardized_model_transforms_input(self, small_corpus):
         d = small_corpus["dir"]
         model = d / "std_model.json"

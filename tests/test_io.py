@@ -436,6 +436,28 @@ class TestStandardization:
         with pytest.raises(ValueError, match=rf"standardization stats{where}{message}"):
             apply_standardization(data, stats)
 
+    def test_records_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        data = SequenceDataset([(1 + i % 2, rng.normal(size=(4, 2))) for i in range(50)])
+        stats = standardization_stats(data, per_node=True)
+        calls = []
+        check_record = mixture.check_record
+        monkeypatch.setattr(mixture, "check_record",
+                            lambda *a, **k: calls.append(1) or check_record(*a, **k))
+        out = apply_standardization(data, stats)
+        assert not calls  # the 50 records were checked when data was built
+        assert isinstance(out, SequenceDataset) and len(out) == 50
+        assert [item.node for item in out.items] == [item.node for item in data.items]
+        for item, raw in zip(out.items, data.items):
+            mean, std = io.mean_std(stats, raw.node, 2)
+            np.testing.assert_array_equal(item.seq, (raw.seq - mean) / std)
+
+    def test_overflow_on_apply_names_the_record(self):
+        data = SequenceDataset([(1, np.zeros((2, 1))), (1, np.array([[1e308], [0.0]]))])
+        with pytest.raises(ValueError, match="item 1: sequence contains non-finite values"):
+            with np.errstate(over="ignore"):
+                apply_standardization(data, {"per_node": False, "mean": [-1e308], "std": [1.0]})
+
     def test_stats_must_be_an_object(self):
         data = SequenceDataset([(1, np.zeros((2, 1)))])
         with pytest.raises(ValueError, match="stats must be a JSON object"):

@@ -5,19 +5,22 @@ entries in ``initial``, an unreachable state, left-right chains, structural
 zeros of the transitions and a pair at zero likelihood; the forward checks
 add a far-off pair whose states lie 1000 nats apart on the data.
 
-``backward_pairs`` and ``transition_counts`` (T <= 4) run under both
-backward step forms and at the default and a tiny time chunk. The backward
-tables, their exact -inf pattern and the expected transition counts must
-match an oracle that enumerates every hidden path, and also the log-form
-reference: the log-form backward step and the summed pairwise posteriors of
+The E-step (T <= 4) runs in each of its forms: the scaled form under its
+guard, and the log form, forced by raising the guard floor TREE_FLOOR to
+inf. ``kernels.pair_posteriors`` runs at the default and a tiny time
+chunk, and ``mixture._block_posteriors`` on Gaussian components. The state
+posteriors, the expected transition counts and the log-likelihoods must
+match an oracle that enumerates every hidden path, with exact zeros where
+no path passes, and also the log-form reference: ``backward_pairs``,
+gamma = exp(la + lb - ll) and the summed pairwise posteriors of
 ``_xi_chunk``.
 
 ``forward_pairs`` and ``forward_ends`` (T <= 6, odd and even) run with the
 end-row form forced to the log or the tree form, and under the cost model at
 a tiny TREE_CELLS budget. The forward tables and end rows must match path
 enumeration, and the end rows the log form's last row with its exact -inf
-pattern. One sequence of T = 10**4 is checked against the forward recursion
-in mpmath, where nothing underflows.
+pattern. Sequences of T = 10**4 are checked against the recursions in
+mpmath, where nothing underflows.
 """
 
 import itertools
@@ -30,7 +33,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphhmm import kernels
+from graphhmm import kernels, mixture
+from graphhmm.hmm import GaussianHmm, gaussian_log_densities, log_params
 
 SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
 KINDS = ("dense", "zero_initial", "unreachable", "left_right", "zero_transitions",
@@ -79,7 +83,9 @@ def _logsumexp(terms):
 
 
 def enumerate_pair(log_pi, log_a, log_obs):
-    """Backward table, log-likelihood and transition counts of one pair over every path."""
+    """Backward table, log-likelihood, transition counts, state posteriors and
+    their support (the cells some path of nonzero probability passes) of one
+    pair over every path."""
     t_len, s_count = log_obs.shape
 
     def moves(path, t0):
@@ -94,11 +100,18 @@ def enumerate_pair(log_pi, log_a, log_obs):
     log_p = [log_pi[path[0]] + moves(path, 0) for path in paths]
     ll = _logsumexp(log_p)
     counts = np.zeros((s_count, s_count))
-    if ll > -math.inf:
-        for path, lp in zip(paths, log_p):
-            for t in range(t_len):
-                counts[path[t], path[t + 1]] += math.exp(lp - ll)
-    return lb, ll, counts
+    gamma = np.zeros((t_len + 1, s_count))
+    support = np.zeros((t_len + 1, s_count), dtype=bool)
+    for path, lp in zip(paths, log_p):
+        if lp == -math.inf:
+            continue
+        weight = math.exp(lp - ll)
+        for t, s in enumerate(path):
+            gamma[t, s] += weight
+            support[t, s] = True
+        for t in range(t_len):
+            counts[path[t], path[t + 1]] += weight
+    return lb, ll, counts, gamma, support
 
 
 def enumerate_forward(log_pi, log_a, log_obs):
@@ -122,52 +135,117 @@ def assert_same_table(got, expected, atol):
 
 
 def run_kernels(log_pi, log_a, log_obs, matmul, chunk_cells):
-    """Backward tables, log-likelihoods and transition counts as the E-step computes them."""
-    with mock.patch.object(kernels, "backward_uses_matmul", lambda b, s: matmul), \
+    """The backward tables, and the E-step in the scaled form (matmul) or the log form."""
+    with mock.patch.object(kernels, "TREE_FLOOR", kernels.TREE_FLOOR if matmul else np.inf), \
             mock.patch.object(kernels, "CHUNK_CELLS", chunk_cells):
-        la = kernels.forward_pairs(log_pi, log_a, log_obs)
-        lb = kernels.backward_pairs(log_a, log_obs)
-        ll = kernels.logsumexp(la[:, -1], axis=1)
-        # zero-likelihood pairs are normalized by log 1, as mixture._block_posteriors does
-        safe_ll = np.where(ll == -np.inf, 0.0, ll)
-        counts = kernels.transition_counts(la, lb, log_a, log_obs, safe_ll)
-    return la, lb, safe_ll, counts
+        gamma, counts, ll = kernels.pair_posteriors(log_pi, log_a, log_obs)
+    return kernels.backward_pairs(log_a, log_obs), gamma, counts, ll
+
+
+def assert_matches_enumeration(log_pi, log_a, log_obs, gamma, counts, ll):
+    """Check one block's E-step against path enumeration, pair by pair."""
+    assert not np.isnan(gamma).any() and not np.isnan(counts).any()
+    for b in range(log_obs.shape[0]):
+        _, expected_ll, expected_counts, expected_gamma, support = enumerate_pair(
+            log_pi[b], log_a[b], log_obs[b])
+        if expected_ll == -math.inf:
+            assert ll[b] == -math.inf
+        else:
+            np.testing.assert_allclose(ll[b], expected_ll, rtol=1e-13, atol=ORACLE_ATOL)
+        np.testing.assert_allclose(gamma[b], expected_gamma, rtol=0, atol=ORACLE_ATOL)
+        np.testing.assert_allclose(counts[b], expected_counts, rtol=0, atol=ORACLE_ATOL)
+        # no path passes: exact zeros, so a zero-likelihood pair has none at all
+        assert np.all(gamma[b][~support] == 0.0)
+        assert np.all(counts[b][log_a[b] == -np.inf] == 0.0)
+        if expected_ll == -math.inf:
+            assert np.all(counts[b] == 0.0)
+
+
+BLOCK_EXAMPLES = [
+    dict(kind="zero_initial", s_count=3, t_len=3, b_count=2, seed=0, scale=1.0),
+    dict(kind="unreachable", s_count=3, t_len=4, b_count=2, seed=1, scale=1.0),
+    dict(kind="left_right", s_count=3, t_len=4, b_count=3, seed=2, scale=600.0),
+    dict(kind="dense", s_count=1, t_len=3, b_count=2, seed=3, scale=1.0),
+    dict(kind="dense", s_count=3, t_len=1, b_count=2, seed=4, scale=1.0),
+    dict(kind="zero_likelihood", s_count=2, t_len=3, b_count=3, seed=5, scale=1.0),
+    dict(kind="zero_transitions", s_count=3, t_len=4, b_count=3, seed=6, scale=30.0),
+]
+
+
+def with_examples(test):
+    for case in BLOCK_EXAMPLES:
+        test = example(**case)(test)
+    return test
 
 
 @pytest.mark.parametrize("chunk_cells", [kernels.CHUNK_CELLS, 9], ids=["chunk-default", "chunk-9"])
 @pytest.mark.parametrize("matmul", [False, True], ids=["log-form", "matmul-form"])
 @SETTINGS
-@given(kind=st.sampled_from(KINDS), s_count=st.integers(1, 3), t_len=st.integers(1, 4),
-       b_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+@given(kind=st.sampled_from(KINDS + ("far_off",)), s_count=st.integers(1, 3),
+       t_len=st.integers(1, 4), b_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1.0, 30.0, 600.0]))
-@example(kind="zero_initial", s_count=3, t_len=3, b_count=2, seed=0, scale=1.0)
-@example(kind="unreachable", s_count=3, t_len=4, b_count=2, seed=1, scale=1.0)
-@example(kind="left_right", s_count=3, t_len=4, b_count=3, seed=2, scale=600.0)
-@example(kind="dense", s_count=1, t_len=3, b_count=2, seed=3, scale=1.0)
-@example(kind="dense", s_count=3, t_len=1, b_count=2, seed=4, scale=1.0)
-@example(kind="zero_likelihood", s_count=2, t_len=3, b_count=3, seed=5, scale=1.0)
-@example(kind="zero_transitions", s_count=3, t_len=4, b_count=3, seed=6, scale=30.0)
+@with_examples
 def test_kernels_match_path_enumeration(matmul, chunk_cells, kind, s_count, t_len, b_count,
                                         seed, scale):
     log_pi, log_a, log_obs = make_block(kind, s_count, t_len, b_count, seed, scale)
-    la, lb, safe_ll, counts = run_kernels(log_pi, log_a, log_obs, matmul, chunk_cells)
-    assert not np.isnan(lb).any() and not np.isnan(counts).any()
+    lb, gamma, counts, ll = run_kernels(log_pi, log_a, log_obs, matmul, chunk_cells)
+    if matmul and kind not in ("zero_likelihood", "far_off") and scale == 1.0:
+        # the case ran the scaled form, not its log-form fallback
+        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is not None
+    assert not np.isnan(lb).any()
     for b in range(b_count):
-        expected_lb, expected_ll, expected_counts = enumerate_pair(log_pi[b], log_a[b], log_obs[b])
-        assert_same_table(lb[b], expected_lb, ORACLE_ATOL)
-        np.testing.assert_allclose(counts[b], expected_counts, rtol=0, atol=ORACLE_ATOL)
-        # structural zeros stay exact zeros, and a zero-likelihood pair counts nothing
-        assert np.all(counts[b][log_a[b] == -np.inf] == 0.0)
-        if expected_ll == -math.inf:
-            assert np.all(counts[b] == 0.0)
+        assert_same_table(lb[b], enumerate_pair(log_pi[b], log_a[b], log_obs[b])[0], ORACLE_ATOL)
+    assert_matches_enumeration(log_pi, log_a, log_obs, gamma, counts, ll)
 
-    with mock.patch.object(kernels, "backward_uses_matmul", lambda b, s: False):
-        reference_lb = kernels.backward_pairs(log_a, log_obs)
-    assert_same_table(lb, reference_lb, ATOL)
-    reference_counts = kernels._xi_chunk(la.transpose(1, 0, 2), lb.transpose(1, 0, 2), log_a,
+    la = kernels.forward_pairs(log_pi, log_a, log_obs).transpose(1, 0, 2)
+    safe_ll = np.where(ll == -np.inf, 0.0, ll)
+    reference_gamma = np.exp(la + lb.transpose(1, 0, 2) - safe_ll[:, None]).transpose(1, 0, 2)
+    assert_same_table(gamma, reference_gamma, ATOL)
+    reference_counts = kernels._xi_chunk(la, lb.transpose(1, 0, 2), log_a,
                                          log_obs.transpose(1, 0, 2), safe_ll, 0, t_len).sum(axis=0)
     np.testing.assert_allclose(counts, reference_counts, rtol=0, atol=ATOL)
     np.testing.assert_array_equal(counts == 0.0, reference_counts == 0.0)
+
+
+def make_gaussian_block(kind, s_count, t_len, b_count, seed, scale):
+    """Components (one per pair) and sequences of one kind of block, D = 1.
+
+    Means and data spread by sqrt(2 * scale), so log-densities differ by
+    about scale nats; a zero-likelihood pair has one observation so far off
+    that every density is -inf, and a far-off pair states far apart.
+    """
+    log_pi, log_a, _ = make_block(kind if kind != "zero_likelihood" else "dense",
+                                  s_count, t_len, b_count, seed, scale)
+    rng = np.random.default_rng(seed + 1)
+    spread = math.sqrt(2.0 * scale)
+    means = rng.normal(0.0, spread, size=(b_count, s_count, 1))
+    seqs = list(rng.normal(0.0, spread, size=(b_count, t_len, 1)))
+    if kind == "zero_likelihood":
+        seqs[0][rng.integers(t_len)] = 1e200
+    elif kind == "far_off":  # pair 0's states lie more than 1000 nats apart on its data
+        means[0, :, 0] = 45.0 * np.arange(s_count)
+        seqs[0] = rng.normal(size=(t_len, 1))
+    return GaussianHmm(np.exp(log_pi), np.exp(log_a), means, np.ones_like(means)), seqs
+
+
+@pytest.mark.parametrize("form", ["scaled", "fallback"])
+@SETTINGS
+@given(kind=st.sampled_from(KINDS + ("far_off",)), s_count=st.integers(1, 3),
+       t_len=st.integers(1, 4), b_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 30.0, 600.0]))
+@with_examples
+def test_block_posteriors_match_path_enumeration(form, kind, s_count, t_len, b_count, seed,
+                                                 scale):
+    components, seqs = make_gaussian_block(kind, s_count, t_len, b_count, seed, scale)
+    pairs = np.arange(b_count)
+    floor = kernels.TREE_FLOOR if form == "scaled" else np.inf
+    with mock.patch.object(kernels, "TREE_FLOOR", floor):
+        block, ll = mixture._block_posteriors(components, seqs, pairs, pairs)
+    log_pi, log_a = log_params(components)
+    log_obs = gaussian_log_densities(np.stack(seqs), components.means, components.variances)
+    if form == "scaled" and kind not in ("zero_likelihood", "far_off") and scale == 1.0:
+        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is not None
+    assert_matches_enumeration(log_pi, log_a, log_obs, block.gamma, block.transitions, ll)
 
 
 @pytest.mark.parametrize("form", ["log", "tree", "budget-9"])
@@ -231,3 +309,49 @@ def test_long_sequence_end_row_matches_mpmath(tree):
     # each of the log form's 10**4 steps rounds at eps times the running
     # value, which leaves it about 1e-13 off; the tree form stays within an ulp
     np.testing.assert_allclose(end, expected, rtol=1e-12, atol=0)
+
+
+def mpmath_posteriors(log_pi, log_a, log_obs):
+    """State posteriors and log-likelihood of one pair, forward and backward
+    in linear domain at 30 digits."""
+    mpmath.mp.dps = 30
+    s_count = len(log_pi)
+    a = [[mpmath.exp(x) for x in row] for row in log_a]
+    emits = [[mpmath.exp(x) for x in obs] for obs in log_obs]
+    alpha = [[mpmath.exp(x) for x in log_pi]]
+    for emit in emits:
+        alpha.append([emit[u] * mpmath.fsum(alpha[-1][s] * a[s][u] for s in range(s_count))
+                      for u in range(s_count)])
+    beta = [[mpmath.mpf(1)] * s_count]
+    for emit in reversed(emits):
+        beta.append([mpmath.fsum(a[s][u] * emit[u] * beta[-1][u] for u in range(s_count))
+                     for s in range(s_count)])
+    like = mpmath.fsum(alpha[-1])
+    gamma = [[float(x * y / like) for x, y in zip(row, col)]
+             for row, col in zip(alpha, reversed(beta))]
+    return np.array(gamma), float(mpmath.log(like))
+
+
+@pytest.fixture(scope="module")
+def long_sequence():
+    """A T = 10**4 block at about -2.5 nats a step and its mpmath posteriors."""
+    log_pi, log_a, log_obs = make_block("dense", 2, 10_000, 1, 15, 1.0)
+    log_obs -= 2.5
+    return (log_pi, log_a, log_obs), mpmath_posteriors(log_pi[0], log_a[0], log_obs[0])
+
+
+@pytest.mark.parametrize("form", ["scaled", "fallback"])
+def test_long_sequence_posteriors_match_mpmath(form, long_sequence):
+    block, (expected_gamma, expected_ll) = long_sequence
+    floor = kernels.TREE_FLOOR if form == "scaled" else np.inf
+    with mock.patch.object(kernels, "TREE_FLOOR", floor):
+        gamma, _, ll = kernels.pair_posteriors(*block)
+    if form == "scaled":
+        assert kernels._scaled_posteriors(*block) is not None
+    # The log form's gamma = exp(la + lb - ll) cancels terms of about 3e4
+    # nats, each rounded at eps, and lands about 2e-9 off; its likelihood
+    # accumulates 10**4 roundings in log-sum-exp steps. The scaled form's
+    # gamma is a product of two normalized factors and stays within 1e-14.
+    atol, rtol = (5e-14, 1e-15) if form == "scaled" else (1e-8, 1e-12)
+    np.testing.assert_allclose(gamma[0], expected_gamma, rtol=0, atol=atol)
+    np.testing.assert_allclose(ll[0], expected_ll, rtol=rtol, atol=0)

@@ -55,50 +55,91 @@ def left_right_chain():
     return _log(np.eye(16)[0]), _log(a), log_obs
 
 
+def dense_block(b_count, t_len, s_count, seed):
+    """log_pi, log_a and log_obs of a block of dense pairs with standard normal log-densities."""
+    rng = np.random.default_rng(seed)
+    log_pi = np.log(rng.dirichlet(np.ones(s_count), size=b_count))
+    log_a = np.log(rng.dirichlet(np.ones(s_count), size=(b_count, s_count)))
+    return log_pi, log_a, rng.normal(size=(b_count, t_len, s_count))
+
+
 class TestBackwardForms:
-    def test_cost_model_picks(self):
-        # the E-step blocks of the benchmark workloads: fit-graph (S = 3) and fit-long
-        for b_count in (117, 172, 280, 455):
-            assert not kernels.backward_uses_matmul(b_count, 3)
-        assert kernels.backward_uses_matmul(12, 16)
-        # the largest blocks (about mixture.BLOCK_CELLS cells) cross over near S = 6
-        assert not kernels.backward_uses_matmul(256, 4)
-        assert not kernels.backward_uses_matmul(113, 6)
-        assert kernels.backward_uses_matmul(64, 8)
-        # a single sequence and a few pairs take the matmul form at any S
-        for s_count in (1, 2, 3, 64, 128):
-            assert kernels.backward_uses_matmul(1, s_count)
-        assert kernels.backward_uses_matmul(8, 3) and not kernels.backward_uses_matmul(16, 3)
+    """The E-step's two forms: the scaled form, which steps by matmuls, and its
+    log-form fallback. Raising TREE_FLOOR to inf sends every block to the log
+    form; lowering it to 0 takes the floor out of the scaled form's guard."""
+
+    def test_guard_picks_the_form(self):
+        # dense blocks of the benchmark shapes (fit-graph, fit-long) and one wide pair
+        for shape in ((455, 5, 3), (12, 5, 16), (1, 5, 64)):
+            assert kernels._scaled_posteriors(*dense_block(*shape, seed=1)) is not None, shape
+        # structural zeros of A and pi alone do not fail the guard
+        log_pi, log_a, log_obs = dense_block(2, 6, 3, seed=2)
+        log_pi[:, 1:] = -np.inf
+        log_pi[:, 0] = 0.0
+        log_a = _log(np.triu(np.exp(log_a)))
+        log_a -= kernels.logsumexp(log_a, axis=2)[:, :, None]
+        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is not None
+        # an initial state below the floor, a far-off pair, a pair at zero
+        # likelihood and the left-right chain fall back
+        tiny_pi = _log([[1.0 - np.exp(-700.0), np.exp(-700.0), 0.0]] * 2)
+        assert kernels._scaled_posteriors(tiny_pi, log_a, log_obs) is None
+        assert kernels._scaled_posteriors(*far_off_block(2, 9, 3)) is None
+        log_obs[1, 3] = -np.inf
+        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is None
+        assert kernels._scaled_posteriors(*(x[None] for x in left_right_chain())) is None
+
+    def test_overflow_off_the_support_falls_back(self):
+        # state 2 is never entered but fits the data 500 nats better than the
+        # others, so its scaled backward entry grows by about e**500 a step and
+        # overflows, while every reachable forward entry stays above the floor
+        log_pi = _log([[0.5, 0.5, 0.0]])
+        log_a = _log([[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]])
+        log_obs = np.tile([-500.0, -500.0, 0.0], (1, 4, 1))
+        la = kernels.forward(log_pi[0], log_a[0], log_obs[0])
+        lb = kernels.backward(log_a[0], log_obs[0])
+        ll = kernels.logsumexp(la[-1])
+        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is None
+        gamma, counts, block_ll = kernels.pair_posteriors(log_pi, log_a, log_obs)
+        np.testing.assert_array_equal(gamma[0], np.exp(la + lb - ll))
+        np.testing.assert_allclose(counts[0], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+                                   rtol=1e-12)
+        assert block_ll[0] == ll
 
     @pytest.mark.parametrize("b_count,s_count,matmul", [(455, 3, False), (12, 16, True)])
     def test_block_runs_the_chosen_form(self, b_count, s_count, matmul, monkeypatch):
-        rng = np.random.default_rng(1)
-        log_a = np.log(rng.dirichlet(np.ones(s_count), size=(b_count, s_count)))
-        log_obs = rng.normal(size=(b_count, 5, s_count))
+        log_pi, log_a, log_obs = dense_block(b_count, 5, s_count, seed=1)
+        reference = kernels._log_posteriors(log_pi, log_a, log_obs)
+        if not matmul:
+            monkeypatch.setattr(kernels, "TREE_FLOOR", np.inf)
         calls = []
         logsumexp = kernels.logsumexp
         monkeypatch.setattr(kernels, "logsumexp", lambda *a, **k: calls.append(1) or logsumexp(*a, **k))
-        kernels.backward_pairs(log_a, log_obs)
-        # the log form runs one logsumexp per step, the matmul form none
-        assert len(calls) == (0 if matmul else 5)
+        gamma, counts, ll = kernels.pair_posteriors(log_pi, log_a, log_obs)
+        # the log form runs one logsumexp per forward and per backward step and
+        # one for the likelihoods, the scaled form none
+        assert len(calls) == (0 if matmul else 11)
+        np.testing.assert_allclose(gamma, reference[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(counts, reference[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ll, reference[2], rtol=1e-13, atol=0)
 
     def test_matmul_guard_on_left_right_chain(self, monkeypatch):
         log_pi, log_a, log_obs = left_right_chain()
-        monkeypatch.setattr(kernels, "backward_uses_matmul", lambda b, s: False)
-        reference = kernels.backward(log_a, log_obs)
-        monkeypatch.setattr(kernels, "backward_uses_matmul", lambda b, s: True)
-        lb = kernels.backward(log_a, log_obs)
-        assert np.all(np.isfinite(reference))
-        np.testing.assert_array_equal(np.isneginf(lb), np.isneginf(reference))
-        np.testing.assert_allclose(lb, reference, rtol=0, atol=1e-12)
         la = kernels.forward(log_pi, log_a, log_obs)
+        lb = kernels.backward(log_a, log_obs)
         ll = kernels.logsumexp(la[-1])
-        counts = kernels.transition_counts(la[None], lb[None], log_a[None], log_obs[None],
-                                           np.array([ll]))
+        reference = np.exp(la + lb - ll)
+        assert np.isfinite(ll)
+        gamma, counts, block_ll = kernels.pair_posteriors(log_pi[None], log_a[None], log_obs[None])
+        np.testing.assert_array_equal(gamma[0] == 0.0, reference == 0.0)
+        np.testing.assert_allclose(gamma[0], reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_ll[0], ll, rtol=1e-13)
         np.testing.assert_allclose(counts.sum(), log_obs.shape[0], rtol=1e-12)
-        # without the guard the shifted exps lose whole rows on this chain
-        monkeypatch.setattr(kernels, "_TINY", 0.0)
-        assert np.isneginf(kernels.backward(log_a, log_obs)).any()
+        # the guard is conservative on this chain: the entries that the scaled
+        # form loses without its floor are posteriors far below the float range
+        monkeypatch.setattr(kernels, "TREE_FLOOR", 0.0)
+        unguarded = kernels._scaled_posteriors(log_pi[None], log_a[None], log_obs[None])
+        np.testing.assert_array_equal(unguarded[0][0] == 0.0, reference == 0.0)
+        np.testing.assert_allclose(unguarded[0][0], reference, rtol=0, atol=1e-12)
 
     def test_count_guard_on_absorbing_chain(self, monkeypatch):
         # state 0 is absorbing, so the six final observations at state 1's mean
@@ -109,15 +150,21 @@ class TestBackwardForms:
         log_obs = gaussian_log_densities(x, np.array([[0.0], [10.0]]), np.full((2, 1), 0.25))
         la = kernels.forward(np.log([0.5, 0.5]), log_a, log_obs)
         lb = kernels.backward(log_a, log_obs)
-        ll = np.array([kernels.logsumexp(la[-1])])
-        args = (la[None], lb[None], log_a[None], log_obs[None], ll)
-        expected = kernels.transition_posteriors(la, lb, log_a, log_obs, ll[0]).sum(axis=0)
+        ll = kernels.logsumexp(la[-1])
+        args = (np.log([[0.5, 0.5]]), log_a[None], log_obs[None])
+        expected = kernels.transition_posteriors(la, lb, log_a, log_obs, ll).sum(axis=0)
         np.testing.assert_allclose(expected, [[0.0, 0.0], [0.0, 11.0]], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(kernels.transition_counts(*args)[0], expected, rtol=0, atol=1e-12)
-        # without the guard the contraction loses state 1's factors
-        monkeypatch.setattr(kernels, "_Q_LIMIT", np.inf)
-        with np.errstate(all="ignore"):
-            assert not np.allclose(kernels.transition_counts(*args)[0], expected)
+        # state 1's forward entry drops below the floor, so the block falls back
+        assert kernels._scaled_posteriors(*args) is None
+        np.testing.assert_allclose(kernels.pair_posteriors(*args)[1][0], expected,
+                                   rtol=0, atol=1e-12)
+        # without the floor the scaled form loses state 1 from t = 4 on: on the
+        # first 8 observations, where nothing overflows, its posterior there is
+        # about 5e-177, not the exact zero the scaled form leaves
+        short = (*args[:2], log_obs[None, :8])
+        assert np.all(kernels.pair_posteriors(*short)[0][0, 4:, 1] > 0.0)
+        monkeypatch.setattr(kernels, "TREE_FLOOR", 0.0)
+        assert np.all(kernels.pair_posteriors(*short)[0][0, 4:, 1] == 0.0)
 
 
 def far_off_block(b_count, t_len, seed):
@@ -193,3 +240,17 @@ class TestForwardEnds:
         log_pi = np.log(np.full((1, 2), 0.5))
         assert kernels._tree_ends(log_pi, log_a, log_obs[:, :1]) is not None
         assert kernels._tree_ends(log_pi, log_a, log_obs) is None
+
+    def test_tree_refuses_structural_zeros_before_building_the_stack(self, monkeypatch):
+        # a left-right component has zeros in every step matrix, so the tree
+        # form cannot pass its floor: no (B, T, S, S) stack is exponentiated
+        log_pi, log_a, log_obs = (x[None] for x in left_right_chain())
+        reference = kernels.forward_pairs(log_pi, log_a, log_obs)[:, -1]
+        monkeypatch.setattr(kernels, "forward_uses_tree", lambda b, t, s: True)
+        exp, dims = np.exp, []
+        monkeypatch.setattr(np, "exp",
+                            lambda x, *a, **k: dims.append(np.ndim(x)) or exp(x, *a, **k))
+        end = kernels.forward_ends(log_pi, log_a, log_obs)
+        monkeypatch.undo()
+        assert dims and max(dims) < 4
+        np.testing.assert_array_equal(end, reference)

@@ -73,6 +73,21 @@ class TestGridSweep:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_lam_without_graph_errors_before_any_fit(self, grid_sweep, sweep_inputs, tmp_path,
+                                                     capsys):
+        train_path, _ = sweep_inputs
+        grid_path = str(tmp_path / "grid.json")
+        with open(grid_path, "w", encoding="utf-8") as fh:
+            json.dump({"num_components": 1, "num_states": 2, "lam": [0.0, 0.1],
+                       "outer_iters": 2}, fh)
+        rc = grid_sweep.main(["--train", train_path, "--grid", grid_path,
+                              "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "[1/" not in out
+        assert err.startswith("error: grid contains lam > 0 but no --graph was given")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unknown_grid_key_errors(self, grid_sweep, sweep_inputs, tmp_path,
                                      capsys):
         train_path, _ = sweep_inputs
