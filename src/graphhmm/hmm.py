@@ -142,12 +142,27 @@ def gaussian_log_densities(seq: np.ndarray, means: np.ndarray,
     broadcast, so a stack of (sequence, component) pairs takes one call. An
     observation far enough away to overflow the quadratic term saturates to
     -inf, the structural-zero convention of the forward pass.
+
+    The quadratic term is summed one feature at a time, in place on
+    (..., T, S) arrays, so no (..., T, S, D) array is built. Below 8
+    features that is numpy's sum over the feature axis bit for bit; from 8
+    on numpy's pairwise sum groups the terms otherwise, and an entry can
+    differ in its last bits.
     """
-    diff = seq[..., :, None, :] - means[..., None, :, :]
     log_norm = np.sum(_LOG_2PI + np.log(variances), axis=-1)
     with np.errstate(over="ignore"):
-        quad = np.sum(diff * diff / variances[..., None, :, :], axis=-1)
-    return -0.5 * (log_norm[..., None, :] + quad)
+        quad = term = None
+        for d in range(seq.shape[-1]):
+            term = np.subtract(seq[..., :, None, d], means[..., None, :, d], out=term)
+            term *= term
+            term /= variances[..., None, :, d]
+            if quad is None:  # the first feature's term starts the sum
+                quad, term = term, None
+            else:
+                quad += term
+        quad += log_norm[..., None, :]
+        quad *= -0.5
+    return quad
 
 
 def validate_sequence(seq: np.ndarray, dim: int = None) -> np.ndarray:

@@ -24,9 +24,10 @@ exactly where the log form is -inf: exact zeros of A and pi stay exact.
 End rows. Scoring and forecasting read only each pair's last forward row,
 which ``forward_ends`` returns: from the log form or, where the cost model
 ``forward_uses_tree`` picks it, as a log-depth product of rescaled step
-matrices behind the same floor (``_tree_ends``; the associative scan of
-Sarkka and Garcia-Fernandez, "Temporal parallelization of Bayesian
-smoothers", 2021, reduced to its last element).
+matrices behind the same floor, taken in time chunks of at most TREE_CELLS
+cells (``_tree_ends``; the associative scan of Sarkka and Garcia-Fernandez,
+"Temporal parallelization of Bayesian smoothers", 2021, reduced to its last
+element).
 
 Conventions: a sequence of length T has hidden states at t = 0..T, and the
 state at t = 0 emits nothing. ``log_obs`` therefore has T rows (row t - 1
@@ -51,8 +52,9 @@ FORWARD_STEP_CELLS = 2500
 MATMUL_MATRIX_CELLS = 40
 MATMUL_CELL_FLOPS = 16
 # forward_ends' tree form: the largest (B, T, S, S) stack of step matrices
-# it builds (1 MiB of float64). TREE_FLOOR is the exactness floor of its
-# entries and of those of the scaled E-step.
+# it builds (1 MiB of float64); a longer block is multiplied in time chunks.
+# TREE_FLOOR is the exactness floor of its entries and of those of the
+# scaled E-step.
 TREE_CELLS = 2 ** 17
 TREE_FLOOR = 2.0 ** -900
 
@@ -96,36 +98,31 @@ def forward_uses_tree(b_count: int, t_len: int, s_count: int) -> bool:
     cells. The tree form takes ceil(log2 T) levels plus one step of set-up,
     and per step matrix the same S * S cells of exps, one matrix in numpy's
     stacked matmul (MATMUL_MATRIX_CELLS) and S**3 multiply-adds at
-    MATMUL_CELL_FLOPS a cell. A stack of more than TREE_CELLS cells is
-    refused outright. So forecast prefixes take the tree form, while scoring
-    blocks of 100-455 pairs at S = 3 and one sequence at S >= 64 do not.
+    MATMUL_CELL_FLOPS a cell. So forecast prefixes and long single
+    sequences at small S take the tree form, while scoring blocks of
+    100-455 pairs at S = 3 and one sequence at S >= 64 do not.
     """
     cells = b_count * t_len * s_count * s_count
-    if cells > TREE_CELLS:
-        return False
     log_cost = t_len * FORWARD_STEP_CELLS + cells
     tree_cost = ((t_len - 1).bit_length() + 1) * FORWARD_STEP_CELLS + cells \
         + b_count * t_len * (MATMUL_MATRIX_CELLS + s_count ** 3 / MATMUL_CELL_FLOPS)
     return tree_cost < log_cost
 
 
-def _tree_ends(log_pi, log_a, log_obs):
-    """End rows log(exp(log_pi - c) M_1 ... M_T) + c + sum of the scales, or None.
+def _tree_product(log_a, log_obs):
+    """(M_1 ... M_T divided by its scale, log of the scale) per pair, or None.
 
     M_t = exp(log_a + log_obs[:, t - 1, None, :] - c_t) with c_t the largest
     entry of its logs. Neighbouring factors are multiplied pairwise, level
     by level, and each product is divided by its largest entry, whose log
     joins the pair's scale. None when an entry of a step matrix or of a
-    product, before it is divided, is below TREE_FLOOR, so that a term lost
-    to underflow moves no entry by more than S * 2**-122 relative. A zero in
-    log_a fails before the stack is built.
+    product, before it is divided, is below TREE_FLOOR.
     """
-    if log_a.min() == -np.inf:
-        return None
     logs = log_a[:, None] + log_obs[:, :, None, :]  # (B, T, S, S)
     # an all -inf matrix gets a finite shift, so its exps are 0 and fail the floor
     shift = np.maximum(logs.max(axis=(2, 3)), _LOWEST)
-    mats = np.exp(logs - shift[:, :, None, None])
+    logs -= shift[:, :, None, None]
+    mats = np.exp(logs, out=logs)
     if mats.min() < TREE_FLOOR:
         return None
     scale = shift.sum(axis=1)
@@ -139,10 +136,41 @@ def _tree_ends(log_pi, log_a, log_obs):
         top = prod.max(axis=(2, 3), keepdims=True)
         mats = prod / top
         scale += np.log(top).sum(axis=(1, 2, 3))
+    return mats[:, 0], scale
+
+
+def _tree_ends(log_pi, log_a, log_obs):
+    """End rows log(exp(log_pi - c) M_1 ... M_T) + c + sum of the scales, or None.
+
+    The step matrices are multiplied by _tree_product in time chunks of at
+    most TREE_CELLS (B, T, S, S) cells, so no larger stack is built however
+    long the block. The initial row is carried across the chunks: after
+    each it is divided by its largest entry, whose log joins the scale.
+    None when _tree_product refuses a chunk or a carried entry, before it
+    is divided, is below TREE_FLOOR, so that a term lost to underflow moves
+    no entry by more than S * 2**-122 relative. A zero in log_a fails before
+    any stack is built.
+    """
+    if log_a.min() == -np.inf:
+        return None
+    b_count, t_len, s_count = log_obs.shape
+    chunk = max(1, TREE_CELLS // (b_count * s_count * s_count))
     pi_shift = np.maximum(log_pi.max(axis=1, keepdims=True), _LOWEST)
-    row = np.matmul(np.exp(log_pi - pi_shift)[:, None], mats[:, 0])[:, 0]
+    row, scale = np.exp(log_pi - pi_shift)[:, None], 0.0  # (B, 1, S)
+    for start in range(0, t_len, chunk):
+        if start:
+            if row.min() < TREE_FLOOR:
+                return None
+            top = row.max(axis=2, keepdims=True)
+            row = row / top
+            scale = scale + np.log(top[:, 0, 0])
+        product = _tree_product(log_a, log_obs[:, start:start + chunk])
+        if product is None:
+            return None
+        row = np.matmul(row, product[0])
+        scale = scale + product[1]
     with np.errstate(divide="ignore"):  # an all -inf log_pi gives -inf, as in log form
-        return np.log(row) + (scale[:, None] + pi_shift)
+        return np.log(row[:, 0]) + (scale[:, None] + pi_shift)
 
 
 def forward_ends(log_pi, log_a, log_obs):

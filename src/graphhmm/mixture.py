@@ -25,8 +25,8 @@ from .hmm import (GaussianHmm, _cdf, _draw, check_rows_normalized, gaussian_log_
 # Live pairs per block: one recursion step then covers about BLOCK_CELLS
 # (pair, state, state) cells, whatever the state count.
 BLOCK_CELLS = 4096
-# (pair, t, state, dim) cells of the deviations in one batched density call.
-DENSITY_CELLS = 8192
+# (pair, t, state) cells of each per-feature temporary in one batched density call.
+DENSITY_CELLS = 32768
 
 
 @dataclass
@@ -258,13 +258,14 @@ def pair_log_densities(components: GaussianHmm, seqs: list, seq: np.ndarray,
     """Emission log-densities of seqs[seq[b]] under component comp[b], shape (B, T, S).
 
     The sequences share one length T. Each gaussian_log_densities call
-    covers as many pairs as fit in about DENSITY_CELLS (pair, t, s, d) cells;
-    every entry is the same arithmetic as a call per pair. The result is a
-    view of a time-major (T, B, S) array, the layout the recursions step in.
+    covers as many pairs as fit in about DENSITY_CELLS (pair, t, s) cells,
+    the size of each of its per-feature temporaries; every entry is the
+    same arithmetic as a call per pair. The result is a view of a
+    time-major (T, B, S) array, the layout the recursions step in.
     """
-    _, s_count, dim = components.means.shape
+    s_count = components.num_states
     t_len = seqs[seq[0]].shape[0]
-    size = max(1, DENSITY_CELLS // (t_len * s_count * dim))
+    size = max(1, DENSITY_CELLS // (t_len * s_count))
     out = np.empty((t_len, seq.size, s_count))
     for start in range(0, seq.size, size):
         part = slice(start, start + size)

@@ -194,17 +194,28 @@ def _weighted_square_deviations(gamma: np.ndarray, seqs: np.ndarray,
                                 means: np.ndarray) -> np.ndarray:
     """sum_t gamma[b, t, s] * (seqs[b, t] - means[b, s])**2 per pair, shape (B, S, D).
 
-    Summed over time chunks so that the (B, C, S, D) deviations stay near
-    kernels.CHUNK_CELLS cells.
+    Summed over time chunks so that the deviations stay near
+    kernels.CHUNK_CELLS cells. They are written one feature at a time into a
+    time-major (C, D, B, S) buffer, so each write and the einsum's inner loop
+    run over the contiguous (pair, state) cells, never over the short
+    feature axis. Each entry is still summed over t in time order, so for the
+    time-major gamma of the E-step it is bit for bit the sum of a
+    (B, C, S, D) einsum per chunk, at any D.
     """
     b_count, t_len, s_count = gamma.shape
-    chunk = max(1, kernels.CHUNK_CELLS // (b_count * s_count * seqs.shape[2]))
-    out = np.zeros(means.shape)
+    dim = seqs.shape[2]
+    chunk = max(1, kernels.CHUNK_CELLS // (b_count * s_count * dim))
+    gamma, seqs = gamma.transpose(1, 0, 2), seqs.transpose(1, 0, 2)  # time-major
+    diff = np.empty((min(chunk, t_len), dim, b_count, s_count))
+    out = np.zeros((dim, b_count, s_count))
     for start in range(0, t_len, chunk):
         stop = min(start + chunk, t_len)
-        diff = seqs[:, start:stop, None, :] - means[:, None, :, :]
-        out += np.einsum("bts,btsd->bsd", gamma[:, start:stop], diff * diff)
-    return out
+        part = diff[:stop - start]
+        for d in range(dim):
+            np.subtract(seqs[start:stop, :, None, d], means[None, :, :, d], out=part[:, d])
+        part *= part
+        out += np.einsum("tbs,tdbs->dbs", gamma[start:stop], part)
+    return out.transpose(1, 2, 0)
 
 
 def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset,
@@ -291,21 +302,44 @@ def _kmeans_plus_plus(frames: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 def _kmeans(frames: np.ndarray, k: int, rng: np.random.Generator,
             max_iters: int = 100) -> np.ndarray:
+    """Lloyd's algorithm from k-means++ seeds; returns the (k, D) centres.
+
+    A (k, N) table holds each centre's squared distances, added up one
+    feature at a time, and the labels carry over between iterations. Only
+    the centres whose membership changed, the old and new labels of the
+    frames that moved, are recomputed, and only their rows of the table: an
+    unchanged centre has the same members, so its mean and its distances
+    are the same bits. A centre left without members stays where it is.
+    argmin takes the first of tied centres.
+    """
     centers = _kmeans_plus_plus(frames, k, rng)
+    d2 = np.empty((k, frames.shape[0]))
+    stale = range(k)  # centres whose table rows are out of date
     labels = None
     for _ in range(max_iters):
-        # one feature at a time into one (N, k) array; no (N, k, D) array is built
-        d2 = np.zeros((frames.shape[0], k))
-        for j in range(frames.shape[1]):
-            d2 += (frames[:, None, j] - centers[None, :, j]) ** 2
-        new_labels = np.argmin(d2, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
+        for j in stale:
+            row = np.subtract(frames[:, 0], centers[j, 0], out=d2[j])
+            row *= row
+            for f in range(1, frames.shape[1]):
+                row += (frames[:, f] - centers[j, f]) ** 2
+        new_labels = np.argmin(d2, axis=0)
+        if labels is None:
+            changed = range(k)
+        else:
+            moved = new_labels != labels
+            if not moved.any():
+                break
+            # a mask, not np.union1d, whose np.unique imports numpy.ma (1.7 MiB)
+            changed = np.zeros(k, dtype=bool)
+            changed[labels[moved]] = changed[new_labels[moved]] = True
+            changed = np.flatnonzero(changed)
         labels = new_labels
-        for j in range(k):
+        stale = []
+        for j in changed:
             members = frames[labels == j]
             if members.shape[0] > 0:
                 centers[j] = members.mean(axis=0)
+                stale.append(j)
     return centers
 
 

@@ -1,7 +1,7 @@
 """Byte-for-byte guard on fixed-seed training and forecasting output.
 
-A tiny seed-0 fit in each training mode must save exactly the model file
-committed under tests/data/. A refactor that changes any parameter by one
+A tiny seed-0 fit in each training mode, and a three-feature closed-form
+fit, must save exactly the model file committed under tests/data/. A refactor that changes any parameter by one
 ulp, the parameter order or the file layout fails here. Forecasting is
 pinned the same way: the conditioned weights and initials, the predictive
 log-likelihood and fixed-seed forecast means of a small sparse model must
@@ -57,6 +57,28 @@ def golden_fit(mode: str, path: str) -> None:
     save_model(result.model, path, metadata={"objectives": result.objectives})
 
 
+def golden_inputs_3d() -> SequenceDataset:
+    """K=2 nodes, 12 three-feature sequences of T=60 around four overlapping centres.
+
+    The overlap keeps k-means moving a few frames per Lloyd iteration for
+    about 20 iterations, and D=3 makes every feature sum order visible.
+    """
+    rng = np.random.default_rng(4)
+    centres = rng.normal(0.0, 1.0, size=(4, 3))
+    items = []
+    for i in range(12):
+        states = rng.integers(4, size=60)
+        items.append((i % 2 + 1, centres[states] + rng.normal(0.0, 1.0, size=(60, 3))))
+    return SequenceDataset(items)
+
+
+def golden_fit_3d(path: str) -> None:
+    config = TrainConfig(outer_iters=3, rng_seed=0)
+    result = fit(golden_inputs_3d(), None, config, InitSpec(num_components=2, num_states=4))
+    assert result.mode == "mhmm"
+    save_model(result.model, path, metadata={"objectives": result.objectives})
+
+
 def forecast_model() -> SparseMixtureModel:
     """K=2 nodes over M=4 components with S=3 states and D=2 features.
 
@@ -107,6 +129,13 @@ def test_fit_reproduces_committed_model_file(mode, tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def test_three_feature_fit_reproduces_committed_model_file(tmp_path):
+    out = tmp_path / "mhmm_d3.json"
+    golden_fit_3d(str(out))
+    with open(os.path.join(DATA_DIR, "golden_mhmm_d3.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_forecasts_reproduce_committed_file(tmp_path):
     out = tmp_path / "forecast.json"
     golden_forecasts(str(out))
@@ -146,4 +175,5 @@ if __name__ == "__main__":
     os.makedirs(DATA_DIR, exist_ok=True)
     for mode in sorted(MODES):
         rewrite(f"golden_{mode}.json", lambda path, mode=mode: golden_fit(mode, path))
+    rewrite("golden_mhmm_d3.json", golden_fit_3d)
     rewrite("golden_forecast.json", golden_forecasts)

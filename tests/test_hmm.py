@@ -1,6 +1,7 @@
 """Exact-inference checks for the single HMM against enumeration oracles."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,60 @@ from conftest import enum_log_likelihood, enum_posteriors, random_hmm
 
 def standard_normal_hmm():
     return GaussianHmm([1.0], [[1.0]], [[0.0]], [[1.0]])
+
+
+def summed_log_densities(seq, means, variances):
+    """gaussian_log_densities with the (..., T, S, D) deviations summed over the feature axis."""
+    diff = seq[..., :, None, :] - means[..., None, :, :]
+    log_norm = np.sum(np.log(2.0 * np.pi) + np.log(variances), axis=-1)
+    with np.errstate(over="ignore"):
+        quad = np.sum(diff * diff / variances[..., None, :, :], axis=-1)
+    return -0.5 * (log_norm[..., None, :] + quad)
+
+
+class TestDensities:
+    @staticmethod
+    def cases(rng, dim):
+        """(seq, means, variances): one HMM, a stack of pairs, a sequence against
+        a stack, and single frames and states."""
+        t_len, s_count, b_count = (int(rng.integers(1, 30)), int(rng.integers(1, 9)),
+                                   int(rng.integers(1, 5)))
+        for seq_lead, lead, t, s in (((), (), t_len, s_count),
+                                     ((b_count,), (b_count,), t_len, s_count),
+                                     ((), (b_count,), t_len, s_count),
+                                     ((1,), (1,), 1, 1), ((), (), 1, s_count)):
+            yield (rng.normal(size=seq_lead + (t, dim)) * 10.0,
+                   rng.normal(size=lead + (s, dim)),
+                   rng.uniform(0.5, 2.0, size=lead + (s, dim)))
+
+    def test_per_feature_sum_matches_the_feature_axis_sum(self):
+        rng = np.random.default_rng(21)
+        for dim in range(1, 13):
+            for seq, means, variances in self.cases(rng, dim):
+                got = gaussian_log_densities(seq, means, variances)
+                expected = summed_log_densities(seq, means, variances)
+                assert got.shape == expected.shape
+                if dim < 8:  # numpy sums fewer than 8 terms in plain order
+                    assert np.array_equal(got, expected), dim
+                else:  # its pairwise sum groups 8 or more otherwise
+                    np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(float).eps,
+                                               atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    def test_overflow_saturates_to_neg_inf(self, dim):
+        # (1e200)**2 overflows in the first feature: -inf, as the sum over
+        # features gives, with no warning; the other state stays finite
+        seq = np.zeros((2, dim))
+        seq[1, 0] = 1e200
+        means = np.zeros((2, dim))
+        means[1, 0] = 1e200
+        variances = np.full((2, dim), 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaussian_log_densities(seq, means, variances)
+        assert np.array_equal(np.isneginf(got), [[False, True], [True, False]])
+        np.testing.assert_allclose(got, summed_log_densities(seq, means, variances),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class TestLogLikelihood:

@@ -198,9 +198,10 @@ class TestForwardEnds:
         # T <= 3 saves no sequential step
         for t_len in (1, 2, 3):
             assert not kernels.forward_uses_tree(1, t_len, 3)
-        # the (B, T, S, S) stack is bounded whatever the cost
-        assert kernels.forward_uses_tree(1, kernels.TREE_CELLS // 9, 3)
-        assert not kernels.forward_uses_tree(1, kernels.TREE_CELLS // 9 + 1, 3)
+        # a longer stack than TREE_CELLS is multiplied in chunks, so length
+        # alone never sends a block to the log form
+        for t_len in (kernels.TREE_CELLS // 9, kernels.TREE_CELLS // 9 + 1, 20000, 10 ** 6):
+            assert kernels.forward_uses_tree(1, t_len, 3), t_len
 
     @pytest.mark.parametrize("tree", [False, True], ids=["log-form", "tree-form"])
     def test_block_runs_the_chosen_form(self, tree, monkeypatch):
@@ -218,6 +219,48 @@ class TestForwardEnds:
         monkeypatch.setattr(kernels, "logsumexp", logsumexp)
         reference = kernels.forward_pairs(log_pi, log_a, log_obs)[:, -1]
         np.testing.assert_allclose(end, reference, rtol=1e-13, atol=0)
+
+    def test_long_sequence_takes_the_tree_form_in_chunks(self, monkeypatch):
+        # one S = 3 sequence whose (1, T, 3, 3) stack is above TREE_CELLS
+        rng = np.random.default_rng(5)
+        log_pi = np.log(rng.dirichlet(np.ones(3)))[None]
+        log_a = np.log(rng.dirichlet(np.ones(3), size=3))[None]
+        log_obs = rng.normal(size=(1, 20000, 3))
+        assert log_obs.size * 3 > kernels.TREE_CELLS
+        calls, sizes = [], []
+        logsumexp, exp = kernels.logsumexp, np.exp
+        monkeypatch.setattr(kernels, "logsumexp", lambda *a, **k: calls.append(1) or logsumexp(*a, **k))
+        monkeypatch.setattr(np, "exp", lambda x, *a, **k: sizes.append(np.size(x)) or exp(x, *a, **k))
+        end = kernels.forward_ends(log_pi, log_a, log_obs)
+        monkeypatch.undo()
+        assert not calls  # the tree form ran
+        assert max(sizes) <= kernels.TREE_CELLS
+        # the long-sequence tolerance of test_long_sequence_end_row_matches_mpmath:
+        # here the log form drifts 1.5e-13 from a 30-digit reference, the tree form 2e-16
+        reference = kernels.forward_pairs(log_pi, log_a, log_obs)[:, -1]
+        np.testing.assert_allclose(end, reference, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 64])
+    def test_chunked_tree_matches_log_form(self, steps, monkeypatch):
+        # chunks of `steps` time steps; zeros in the initial row are carried exactly
+        rng = np.random.default_rng(steps)
+        log_pi = np.log(rng.dirichlet(np.ones(4), size=3))
+        log_pi[1, 2] = -np.inf
+        log_a = np.log(rng.dirichlet(np.ones(4), size=(3, 4)))
+        log_obs = rng.normal(size=(3, 45, 4)) * 3.0
+        reference = kernels.forward_pairs(log_pi, log_a, log_obs)[:, -1]
+        monkeypatch.setattr(kernels, "TREE_CELLS", 3 * 16 * steps)
+        end = kernels._tree_ends(log_pi, log_a, log_obs)
+        np.testing.assert_allclose(end, reference, rtol=1e-13, atol=0)
+        # an initial row of zeros has nothing to carry: the log form answers -inf
+        log_pi[0] = -np.inf
+        with np.errstate(divide="ignore"):
+            end = kernels._tree_ends(log_pi, log_a, log_obs)
+        if steps < 45:
+            assert end is None
+        else:
+            assert np.all(np.isneginf(end[0]))
+        assert np.all(np.isneginf(kernels.forward_ends(log_pi, log_a, log_obs)[0]))
 
     def test_tree_guard_on_far_off_component(self, monkeypatch):
         log_pi, log_a, log_obs = far_off_block(2, 9, 3)

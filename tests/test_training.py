@@ -1,14 +1,18 @@
 """EM update checks: closed forms, gradient mode, initialization, baselines."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from graphhmm import kernels, training
 from graphhmm.hmm import VARIANCE_FLOOR, GaussianHmm
 from graphhmm.mixture import (AffinityGraph, SequenceDataset, SparseMixtureModel,
                               mixture_log_likelihood, mixture_posteriors,
                               regularizer_value, reparameterize_rows)
 from graphhmm.training import (AdamState, FitResult, InitSpec, TrainConfig,
-                               _update_scores, baseline_state_counts, em_step_mhmm,
+                               _update_scores, _weighted_square_deviations,
+                               baseline_state_counts, em_step_mhmm,
                                _kmeans, _kmeans_plus_plus, em_step_spamhmm, fit,
                                fit_per_node, fit_single_hmm, initialize_model)
 
@@ -64,6 +68,38 @@ class TestClosedFormUpdates:
         np.testing.assert_allclose(comp.means, means, rtol=0, atol=1e-9)
         np.testing.assert_allclose(comp.variances, variances, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(updated.alpha, [[1.0]])
+
+    @staticmethod
+    def summed_square_deviations(gamma, seqs, means):
+        """_weighted_square_deviations with (B, C, S, D) deviations and one einsum per chunk."""
+        b_count, t_len, s_count = gamma.shape
+        chunk = max(1, kernels.CHUNK_CELLS // (b_count * s_count * seqs.shape[2]))
+        out = np.zeros(means.shape)
+        for start in range(0, t_len, chunk):
+            stop = min(start + chunk, t_len)
+            diff = seqs[:, start:stop, None, :] - means[:, None, :, :]
+            out += np.einsum("bts,btsd->bsd", gamma[:, start:stop], diff * diff)
+        return out
+
+    @pytest.mark.parametrize("chunk_cells", [7, 32768])
+    def test_square_deviations_match_the_feature_axis_einsum(self, chunk_cells, monkeypatch):
+        # each entry is a sum over time in time order, so the per-feature form
+        # is bit for bit the (B, C, S, D) einsum at every D, one pair and one
+        # state included; gamma[:, 1:] of a time-major (T + 1, B, S) table, as
+        # the M-step passes the E-step's posteriors
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(23)
+        for dim, ones, _ in itertools.product(range(1, 13), range(4), range(2)):
+            b_count = 1 if ones & 1 else int(rng.integers(2, 13))
+            s_count = 1 if ones & 2 else int(rng.integers(2, 17))
+            t_len = int(rng.integers(1, 200))
+            gamma = rng.dirichlet(np.ones(s_count), size=(t_len + 1, b_count))
+            gamma = gamma.transpose(1, 0, 2)[:, 1:]
+            seqs = rng.normal(size=(b_count, t_len, dim)) * 3.0
+            means = rng.normal(size=(b_count, s_count, dim))
+            got = _weighted_square_deviations(gamma, seqs, means)
+            expected = self.summed_square_deviations(gamma, seqs, means)
+            assert np.array_equal(got, expected), (dim, b_count, s_count)
 
     def test_alpha_update_is_mean_responsibility(self):
         rng = np.random.default_rng(1)
@@ -253,9 +289,10 @@ class TestInitialization:
         assert abs(means[0] - (-5.0)) < 0.5 and abs(means[1] - 5.0) < 0.5
 
     @staticmethod
-    def kmeans_oracle(frames, k, rng, max_iters=100):
-        """Lloyd iterations with the (N, k, D) distance array summed over features."""
-        centers = _kmeans_plus_plus(frames, k, rng)
+    def kmeans_oracle(frames, centers, max_iters=100):
+        """Lloyd iterations from the given centres, with the (N, k, D) distance
+        array summed over features and every centre recomputed each time."""
+        centers = centers.copy()
         labels = None
         for _ in range(max_iters):
             d2 = np.sum((frames[:, None, :] - centers[None, :, :]) ** 2, axis=2)
@@ -263,15 +300,16 @@ class TestInitialization:
             if labels is not None and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            for j in range(k):
+            for j in range(centers.shape[0]):
                 members = frames[labels == j]
                 if members.shape[0] > 0:
                     centers[j] = members.mean(axis=0)
         return centers
 
-    def test_kmeans_matches_summed_distances(self):
+    def test_kmeans_matches_summed_distances(self, monkeypatch):
         # below 8 features numpy sums a row of squares in plain order, so the
-        # per-feature accumulation gives the same distances bit for bit
+        # per-feature accumulation gives the same distances bit for bit, and
+        # a centre whose members did not change keeps the same bits
         rng = np.random.default_rng(15)
         for case in range(70):
             dim = case % 7 + 1
@@ -282,8 +320,27 @@ class TestInitialization:
                 frames = np.round(frames, 1)
                 frames[n // 2:] = frames[:n - n // 2]
             got = _kmeans(frames, k, np.random.default_rng(case))
-            expected = self.kmeans_oracle(frames, k, np.random.default_rng(case))
-            assert np.array_equal(got, expected)
+            seeds = _kmeans_plus_plus(frames, k, np.random.default_rng(case))
+            assert np.array_equal(got, self.kmeans_oracle(frames, seeds))
+        # runs cut short by max_iters, on overlapping clusters that take
+        # more than 8 Lloyd iterations to settle
+        frames = rng.normal(size=(3000, 3))
+        full = self.kmeans_oracle(frames, _kmeans_plus_plus(frames, 8, np.random.default_rng(0)))
+        for max_iters in (1, 2, 3, 8):
+            got = _kmeans(frames, 8, np.random.default_rng(0), max_iters=max_iters)
+            seeds = _kmeans_plus_plus(frames, 8, np.random.default_rng(0))
+            expected = self.kmeans_oracle(frames, seeds, max_iters=max_iters)
+            assert np.array_equal(got, expected) and not np.array_equal(got, full)
+        # a cluster that empties mid-run: from centres 9, 0, 0 the frames 4, 1,
+        # 4, 0 go to centre 1 (first of the tie) and 5 to centre 0; then 4, 4
+        # and 5 go to centre 0 at 5 and 1, 0 to centre 2 at 0, which empties
+        # centre 1, left at 2.25
+        frames = np.array([[4.0], [1.0], [4.0], [5.0], [0.0]])
+        seeds = np.array([[9.0], [0.0], [0.0]])
+        monkeypatch.setattr(training, "_kmeans_plus_plus", lambda frames, k, rng: seeds.copy())
+        got = _kmeans(frames, 3, np.random.default_rng(0))
+        assert np.array_equal(got, self.kmeans_oracle(frames, seeds))
+        assert got[1, 0] == 2.25
 
     def test_too_few_frames(self):
         rng = np.random.default_rng(14)
