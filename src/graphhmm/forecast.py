@@ -5,8 +5,8 @@ prior model: the component weights become the posterior responsibilities of
 the prefix, and each component's initial-state distribution becomes its
 smoothed state posterior at the prefix's final timestep. Transition and
 emission parameters are untouched. This module computes only that
-conditioning. Scoring a continuation runs the mixture's own live-pair
-forward pass with the conditioned weights and initial distributions, and
+conditioning. Conditioning and scoring a continuation run the mixture's own
+live-pair driver, the latter with the conditioned weights and initials, and
 sampling runs the HMM's own ancestral sampler from the conditioned states.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .hmm import GaussianHmm, _cdf, _chains, _draw, validate_sequence
-from .mixture import SparseMixtureModel, _live_pair_ends, check_node
+from .mixture import SparseMixtureModel, _end_rows, _live_pairs, check_node
 
 
 @dataclass
@@ -45,22 +45,23 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
 
     The last forward row of each live component gives both: the end state
     posterior is exp(log_alpha[T] - log_like), as the backward table is
-    exactly zero at t = T. The node's live components form one block of
+    exactly zero at t = T. The weights come from the live-pair driver's
+    M-wide log-weight row. The node's live components form one block of
     kernels.forward_ends, so a short prefix under a few small components
     costs about ceil(log2 T) stacked matrix products, not T forward steps.
     """
     node = check_node(model, node)
     prefix = validate_sequence(prefix, model.dim)
+    log_w, blocks = _live_pairs(model.components, model.alpha[node - 1:node], [prefix],
+                                _end_rows)
     end = np.full((model.num_components, model.num_states), -np.inf)
     comp_ll = np.full(model.num_components, -np.inf)
-    log_w = comp_ll.copy()
-    for _, comp, block_end, ll, block_w in _live_pair_ends(
-            model.components, model.alpha[node - 1:node], [prefix]):
-        end[comp], comp_ll[comp], log_w[comp] = block_end, ll, block_w
-    total = float(kernels.logsumexp(log_w))
+    for _, comp, (block_end, ll) in blocks:
+        end[comp], comp_ll[comp] = block_end, ll
+    total = float(kernels.logsumexp(log_w[0]))
     if total == -np.inf:
         raise ValueError("prefix has zero likelihood under every component")
-    weights = np.exp(log_w - total)
+    weights = np.exp(log_w[0] - total)
     inert = weights == 0.0
     initials = np.full(end.shape, 1.0 / model.num_states)
     initials[~inert] = np.exp(end[~inert] - comp_ll[~inert, None])
@@ -69,15 +70,16 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
 
 
 def predictive_log_likelihood(posterior: PosteriorModel, continuation: np.ndarray) -> float:
-    """log p(continuation | prefix, node) under the conditioned mixture."""
+    """log p(continuation | prefix, node) under the conditioned mixture.
+
+    The same M-wide sum, bit for bit, as mixture_log_likelihood of the conditioned mixture.
+    """
     continuation = validate_sequence(continuation, posterior.dim)
     with np.errstate(divide="ignore"):
         log_init = np.log(posterior.conditional_initials)
-    # only the live terms: -inf entries for the others would regroup numpy's
-    # pairwise sum once M >= 9 and can move the result by one ulp
-    terms = [block_w for *_, block_w in _live_pair_ends(
-        posterior.components, posterior.weights[None], [continuation], log_init)]
-    return float(kernels.logsumexp(np.concatenate(terms)))
+    log_w, _ = _live_pairs(posterior.components, posterior.weights[None], [continuation],
+                           _end_rows, log_init)
+    return float(kernels.logsumexp(log_w[0]))
 
 
 def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,

@@ -39,9 +39,10 @@ epsilon, so structural zeros survive roundtrips.
 import numpy as np
 
 _LOWEST = np.finfo(np.float64).min
-# Cells of one time chunk when a per-timestep expectation is summed over
-# time: (pair, t, state[, state]) cells of the transition counts and
-# (pair, t, state, dim) cells of the variance sums in training.
+# Cells of one chunk of a per-timestep temporary: (pair, t, state[, state])
+# cells of the transition counts, (pair, t, state, dim) cells of the
+# variance sums in training and (pair, t, state) cells of each per-feature
+# temporary of one batched density call (mixture.pair_log_densities).
 CHUNK_CELLS = 32768
 # forward_uses_tree's cost model in log-form cells, measured on a 2-core
 # x86-64 host (numpy 2.4, OpenBLAS on one thread), where a cell took 6-10 ns:

@@ -9,7 +9,9 @@ which can drive coefficients exactly to zero.
 Node ids are 1-based throughout the public API, matching the file formats;
 component indices returned to callers (sampling traces, cluster labels)
 are 1-based as well. The dictionary is one GaussianHmm stack with a leading
-component axis, which the E-step, scoring and forecasting index directly.
+component axis. The E-step, scoring, forecast conditioning and predictive
+scoring all run one driver, _live_pairs, over blocks of live (sequence,
+component) pairs, and each sums the same M-wide row of log-weights per record.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,6 @@ from .hmm import (GaussianHmm, _cdf, _draw, check_rows_normalized, gaussian_log_
 # Live pairs per block: one recursion step then covers about BLOCK_CELLS
 # (pair, state, state) cells, whatever the state count.
 BLOCK_CELLS = 4096
-# (pair, t, state) cells of each per-feature temporary in one batched density call.
-DENSITY_CELLS = 32768
 
 
 @dataclass
@@ -258,14 +258,14 @@ def pair_log_densities(components: GaussianHmm, seqs: list, seq: np.ndarray,
     """Emission log-densities of seqs[seq[b]] under component comp[b], shape (B, T, S).
 
     The sequences share one length T. Each gaussian_log_densities call
-    covers as many pairs as fit in about DENSITY_CELLS (pair, t, s) cells,
-    the size of each of its per-feature temporaries; every entry is the
-    same arithmetic as a call per pair. The result is a view of a
+    covers as many pairs as fit in about kernels.CHUNK_CELLS (pair, t, s)
+    cells, the size of each of its per-feature temporaries; every entry is
+    the same arithmetic as a call per pair. The result is a view of a
     time-major (T, B, S) array, the layout the recursions step in.
     """
     s_count = components.num_states
     t_len = seqs[seq[0]].shape[0]
-    size = max(1, DENSITY_CELLS // (t_len * s_count))
+    size = max(1, kernels.CHUNK_CELLS // (t_len * s_count))
     out = np.empty((t_len, seq.size, s_count))
     for start in range(0, seq.size, size):
         part = slice(start, start + size)
@@ -299,37 +299,33 @@ def _live_pair_blocks(weights: np.ndarray, seqs: list, num_states: int):
             yield run_seq[start:start + size], run_comp[start:start + size]
 
 
-def _live_pair_ends(components: GaussianHmm, weights: np.ndarray, seqs: list,
-                    log_init: np.ndarray = None):
-    """Yield (seq, comp, end, ll, log_w) for each block of live pairs of weights (N, M).
+def _live_pairs(components: GaussianHmm, weights: np.ndarray, seqs: list, kernel,
+                log_init: np.ndarray = None):
+    """Run kernel on every block of live pairs of weights (N, M); return (log_w, blocks).
 
-    For pair b, record seq[b] under component comp[b]: end[b] is its last
-    forward row, ll[b] its log-likelihood and log_w[b] = log weight + ll[b].
-    The forward pass starts from log_init (M, S) when given, else from the
-    components' initial distributions. Only the end rows are computed, by
-    kernels.forward_ends.
+    Each block of _live_pair_blocks takes one kernel(log_pi, log_a, log_obs)
+    call on its pairs' parameters and pair_log_densities, starting from
+    log_init (M, S) when given, else from the components' initial
+    distributions. The kernel's last output is each pair's log-likelihood
+    ll, so log_w[i, m] = log weights[i, m] + ll for a live pair and -inf
+    for any other. blocks holds (seq, comp, kernel output) per block.
     """
+    log_w = np.full(weights.shape, -np.inf)
+    blocks = []
     for seq, comp in _live_pair_blocks(weights, seqs, components.num_states):
         log_pi, log_a = log_params(components[comp])
         if log_init is not None:
             log_pi = log_init[comp]
-        end = kernels.forward_ends(log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
-        ll = kernels.logsumexp(end, axis=1)
-        yield seq, comp, end, ll, np.log(weights[seq, comp]) + ll
+        out = kernel(log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
+        log_w[seq, comp] = np.log(weights[seq, comp]) + out[-1]
+        blocks.append((seq, comp, out))
+    return log_w, blocks
 
 
-def _block_posteriors(components: GaussianHmm, seqs: list, seq: np.ndarray,
-                      comp: np.ndarray):
-    """Posteriors of one block and each pair's log-likelihood under its component.
-
-    One kernels.pair_posteriors call: the scaled forward-backward, or its
-    log form where the scaled form's guard fails. Its tables are freed on
-    return, so only one block's tables are held at a time.
-    """
-    log_pi, log_a = log_params(components[comp])
-    gamma, transitions, ll = kernels.pair_posteriors(
-        log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
-    return PairBlock(seq, comp, gamma, transitions), ll
+def _end_rows(log_pi, log_a, log_obs):
+    """_live_pairs' forward-only kernel: each pair's last forward row and log-likelihood."""
+    end = kernels.forward_ends(log_pi, log_a, log_obs)
+    return end, kernels.logsumexp(end, axis=1)
 
 
 def check_dim(model: SparseMixtureModel, dataset: SequenceDataset) -> None:
@@ -358,10 +354,8 @@ def mixture_log_likelihoods(model: SparseMixtureModel, dataset: SequenceDataset)
     likelihood under every live component gets -inf.
     """
     weights = model.alpha[_checked_nodes(model, dataset) - 1]
-    log_w = np.full(weights.shape, -np.inf)
-    for seq, comp, _, _, block_w in _live_pair_ends(
-            model.components, weights, [item.seq for item in dataset.items]):
-        log_w[seq, comp] = block_w
+    log_w, _ = _live_pairs(model.components, weights, [item.seq for item in dataset.items],
+                           _end_rows)
     return kernels.logsumexp(log_w, axis=1)
 
 
@@ -379,7 +373,7 @@ def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int
 def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> MixtureSufficientStats:
     """One E-step sweep: component responsibilities and state posteriors.
 
-    Each block of live pairs of one length (see _live_pair_blocks) takes one
+    Each block of live pairs of one length (see _live_pairs) takes one
     kernels.pair_posteriors call: the scaled forward-backward, or its log
     form where the scaled form's guard fails. Pairs with
     alpha[node_i, m] == 0 are skipped; their eta is exactly zero and they
@@ -388,14 +382,8 @@ def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> M
     zero likelihood under every live component raises ValueError.
     """
     nodes = _checked_nodes(model, dataset)
-    weights = model.alpha[nodes - 1]
-    seqs = [item.seq for item in dataset.items]
-    log_w = np.full(weights.shape, -np.inf)
-    blocks = []
-    for seq, comp in _live_pair_blocks(weights, seqs, model.num_states):
-        block, ll = _block_posteriors(model.components, seqs, seq, comp)
-        log_w[seq, comp] = np.log(weights[seq, comp]) + ll
-        blocks.append(block)
+    log_w, blocks = _live_pairs(model.components, model.alpha[nodes - 1],
+                                [item.seq for item in dataset.items], kernels.pair_posteriors)
     seq_ll = kernels.logsumexp(log_w, axis=1)
     zero = np.flatnonzero(seq_ll == -np.inf)
     if zero.size:
@@ -404,6 +392,8 @@ def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> M
                          f"live component")
     eta = np.exp(log_w - seq_ll[:, None])
     counts = np.bincount(nodes - 1, minlength=model.num_nodes)
+    blocks = [PairBlock(seq, comp, gamma, transitions)
+              for seq, comp, (gamma, transitions, _) in blocks]
     return MixtureSufficientStats(node_counts=counts, eta=eta, blocks=blocks,
                                   nodes=nodes, log_likelihoods=seq_ll)
 

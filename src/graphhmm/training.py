@@ -218,6 +218,13 @@ def _weighted_square_deviations(gamma: np.ndarray, seqs: np.ndarray,
     return out.transpose(1, 2, 0)
 
 
+def _objective(lls: np.ndarray, alpha: np.ndarray, graph: AffinityGraph, lam: float) -> float:
+    """The objective: the sum of lls without a graph, else their mean plus lam * graph term."""
+    if graph is None:
+        return float(np.sum(lls))
+    return float(np.mean(lls) + lam * regularizer_value(alpha, graph))
+
+
 def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset,
                  warnings: list = None):
     """One EM iteration with the closed-form coefficient update.
@@ -226,7 +233,7 @@ def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset,
     passed in). Nodes with no sequences keep their mixing row.
     """
     stats = mixture_posteriors(model, dataset)
-    objective = float(np.sum(stats.log_likelihoods))
+    objective = _objective(stats.log_likelihoods, model.alpha, None, 0.0)
     alpha = model.alpha.copy()
     has_data = stats.node_counts > 0
     alpha[has_data] = stats.eta_by_node[has_data] / stats.node_counts[has_data, None]
@@ -276,8 +283,7 @@ def em_step_spamhmm(model: SparseMixtureModel, dataset: SequenceDataset,
         raise ValueError(
             f"graph has {graph.num_nodes} nodes but model has {model.num_nodes}")
     stats = mixture_posteriors(model, dataset)
-    objective = float(np.mean(stats.log_likelihoods)
-                      + config.lam * regularizer_value(model.alpha, graph))
+    objective = _objective(stats.log_likelihoods, model.alpha, graph, config.lam)
     if adam is None:
         adam = AdamState.zeros(model.beta.shape)
     alpha, beta = _update_scores(model, stats, graph, config, adam, warnings)
@@ -392,14 +398,6 @@ class FitResult:
     warnings: list = field(default_factory=list)
 
 
-def _current_objective(model: SparseMixtureModel, dataset: SequenceDataset,
-                       graph: AffinityGraph, mode: str, lam: float) -> float:
-    lls = mixture_log_likelihoods(model, dataset)
-    if mode == "mhmm":
-        return float(np.sum(lls))
-    return float(np.mean(lls) + lam * regularizer_value(model.alpha, graph))
-
-
 def fit(dataset: SequenceDataset, graph: AffinityGraph, config: TrainConfig,
         init: InitSpec) -> FitResult:
     """Train a mixture from scratch.
@@ -439,7 +437,8 @@ def fit(dataset: SequenceDataset, graph: AffinityGraph, config: TrainConfig,
         prev = objective
         if plateau_run >= config.plateau_patience:
             break
-    objectives.append(_current_objective(model, dataset, graph, mode, config.lam))
+    objectives.append(_objective(mixture_log_likelihoods(model, dataset), model.alpha,
+                                 graph if mode == "spamhmm" else None, config.lam))
     return FitResult(model=model, objectives=objectives, mode=mode, warnings=warnings)
 
 

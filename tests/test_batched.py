@@ -5,11 +5,12 @@ component) pair and re-estimates the components with a loop over
 components and sequences, the way the package did before the recursions
 were batched. The dataset mixes lengths (T = 1 included), has a
 structural-zero transition, sparse mixing rows and a node without data.
-Small block and chunk sizes force several blocks per length and several
-time chunks per block. The batched side runs each E-step form (scaled and
-log) and each end-row form of the forward-only paths (scoring,
-``condition`` and ``predictive_log_likelihood``), and the per-pair
-reference always takes the log form.
+Small block and chunk sizes force several blocks per length, several
+density calls per block and several time chunks per block. The batched
+side runs each E-step form (scaled and log) and each end-row form of the
+forward-only paths (scoring, ``condition`` and
+``predictive_log_likelihood``), and the per-pair reference always takes
+the log form.
 """
 
 import itertools

@@ -129,9 +129,8 @@ class TestPredictiveLikelihood:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
     def test_sums_only_the_live_terms(self):
-        # M = 12 with one zero coefficient: logsumexp over all 12 entries
-        # (the -inf one included) groups numpy's pairwise sum differently
-        # and lands one ulp away on this seed
+        # M = 12 with one zero coefficient: only the 11 live components are
+        # evaluated, and the inert one enters the M-wide sum as -inf
         rng = np.random.default_rng(75)
         tr = rng.uniform(size=(12, 3, 3))
         tr /= tr.sum(axis=2, keepdims=True)
@@ -149,7 +148,30 @@ class TestPredictiveLikelihood:
             GaussianHmm(post.conditional_initials[m], tr[m], comps.means[m],
                         comps.variances[m]), x[8:]) for m in live])
         assert live.size == 11
-        assert predictive_log_likelihood(post, x[8:]) == float(kernels.logsumexp(terms))
+        row = np.full(12, -np.inf)
+        row[live] = terms
+        assert predictive_log_likelihood(post, x[8:]) == float(kernels.logsumexp(row))
+
+    def test_equals_the_conditioned_mixture_likelihood(self):
+        # the conditioned mixture: the conditional initials as initial rows and
+        # the posterior weights as its one row. Both sums run over the same
+        # M-wide row, -inf for the zero coefficient, so they agree bit for
+        # bit; numpy's pairwise sum groups 11 and 12 terms differently
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            beta = rng.uniform(0.2, 1.5, size=(1, 12))
+            beta[0, rng.integers(12)] = -1.0
+            model = SparseMixtureModel([random_hmm(rng, 2, 1) for _ in range(12)],
+                                       reparameterize_rows(beta), beta)
+            prefix = rng.normal(size=(int(rng.integers(1, 6)), 1))
+            cont = rng.normal(size=(int(rng.integers(1, 6)), 1))
+            post = condition(model, prefix, 1)
+            comps = post.components
+            conditioned = SparseMixtureModel(
+                GaussianHmm(post.conditional_initials, comps.transition, comps.means,
+                            comps.variances), post.weights[None])
+            assert predictive_log_likelihood(post, cont) == \
+                mixture_log_likelihood(conditioned, cont, 1)
 
     def test_single_state_prefix_is_uninformative(self):
         # with one state the conditioned initial equals the prior initial,

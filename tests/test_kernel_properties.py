@@ -8,12 +8,20 @@ add a far-off pair whose states lie 1000 nats apart on the data.
 The E-step (T <= 4) runs in each of its forms: the scaled form under its
 guard, and the log form, forced by raising the guard floor TREE_FLOOR to
 inf. ``kernels.pair_posteriors`` runs at the default and a tiny time
-chunk, and ``mixture._block_posteriors`` on Gaussian components. The state
+chunk, and through the mixture's live-pair driver ``mixture._live_pairs``
+on Gaussian components. The state
 posteriors, the expected transition counts and the log-likelihoods must
 match an oracle that enumerates every hidden path, with exact zeros where
 no path passes, and also the log-form reference: ``backward_pairs``,
 gamma = exp(la + lb - ll) and the summed pairwise posteriors of
 ``_xi_chunk``.
+
+``mixture_log_likelihoods`` and ``mixture_posteriors`` run on small
+mixtures (T <= 3, mixed lengths) with a zero coefficient, a node without
+data and live pairs at zero likelihood, at the default and tiny block,
+density and chunk sizes, in the scaled and the log form. Their scores,
+responsibilities and per-pair posteriors must match path enumeration pair
+by pair.
 
 ``forward_pairs`` and ``forward_ends`` (T <= 6, odd and even) run with the
 end-row form forced to the log or the tree form, and under the cost model at
@@ -239,13 +247,113 @@ def test_block_posteriors_match_path_enumeration(form, kind, s_count, t_len, b_c
     components, seqs = make_gaussian_block(kind, s_count, t_len, b_count, seed, scale)
     pairs = np.arange(b_count)
     floor = kernels.TREE_FLOOR if form == "scaled" else np.inf
-    with mock.patch.object(kernels, "TREE_FLOOR", floor):
-        block, ll = mixture._block_posteriors(components, seqs, pairs, pairs)
+    with mock.patch.object(kernels, "TREE_FLOOR", floor):  # pair b is seqs[b] under comp b
+        log_w, blocks = mixture._live_pairs(components, np.eye(b_count), seqs,
+                                            kernels.pair_posteriors)
+    [(seq, comp, (gamma, transitions, ll))] = blocks
+    np.testing.assert_array_equal(seq, pairs)
+    np.testing.assert_array_equal(comp, pairs)
+    np.testing.assert_array_equal(log_w, np.where(np.eye(b_count) > 0.0, ll, -np.inf))
     log_pi, log_a = log_params(components)
     log_obs = gaussian_log_densities(np.stack(seqs), components.means, components.variances)
     if form == "scaled" and kind not in ("zero_likelihood", "far_off") and scale == 1.0:
         assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is not None
-    assert_matches_enumeration(log_pi, log_a, log_obs, block.gamma, block.transitions, ll)
+    assert_matches_enumeration(log_pi, log_a, log_obs, gamma, transitions, ll)
+
+
+FAR = 1e155  # (FAR - mean)**2 overflows, so FAR has zero density unless the mean is FAR
+
+
+def make_mixture_case(s_count, m_count, lengths, seed):
+    """A mixture over K = 4 nodes and a dataset with every case the driver meets.
+
+    Records of the given lengths alternate between nodes 1 and 2; node 3
+    holds one record at FAR and node 4 none. Component 0's states sit at
+    FAR, the others' near 0, so the live pairs (node 2 record, component 0)
+    and (FAR record, component m >= 1) are at zero likelihood. Node 1's row
+    has a zero coefficient for component 0, and node 3's row one for every
+    component but 0 and 1.
+    """
+    rng = np.random.default_rng(seed)
+    initial = rng.dirichlet(np.ones(s_count), size=m_count)
+    transition = rng.dirichlet(np.ones(s_count), size=(m_count, s_count))
+    means = rng.normal(0.0, 1.5, size=(m_count, s_count, 1))
+    means[0] = FAR
+    variances = rng.uniform(0.5, 2.0, size=(m_count, s_count, 1))
+    alpha = rng.uniform(0.2, 1.0, size=(4, m_count))
+    alpha[0, 0] = 0.0
+    alpha[2, 2:] = 0.0
+    model = mixture.SparseMixtureModel(GaussianHmm(initial, transition, means, variances),
+                                       alpha / alpha.sum(axis=1, keepdims=True))
+    items = [(i % 2 + 1, rng.normal(0.0, 1.5, size=(t, 1))) for i, t in enumerate(lengths)]
+    items.append((3, np.full((int(rng.integers(1, 3)), 1), FAR)))
+    return model, mixture.SequenceDataset(items)
+
+
+def enumerate_mixture(model, data):
+    """Log-weights (N, M) and {(i, m): (ll, counts, gamma, support)} of the
+    live pairs, each pair by path enumeration."""
+    log_w = np.full((len(data), model.num_components), -np.inf)
+    pairs = {}
+    for i, item in enumerate(data.items):
+        for m in np.flatnonzero(model.alpha[item.node - 1] > 0.0):
+            comp = model.components[m]
+            log_pi, log_a = log_params(comp)
+            log_obs = gaussian_log_densities(item.seq, comp.means, comp.variances)
+            _, ll, counts, gamma, support = enumerate_pair(log_pi, log_a, log_obs)
+            log_w[i, m] = math.log(model.alpha[item.node - 1, m]) + ll
+            pairs[i, int(m)] = ll, counts, gamma, support
+    return log_w, pairs
+
+
+@pytest.mark.parametrize("sizes", ["default", "tiny"])
+@pytest.mark.parametrize("form", ["scaled", "log"])
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(s_count=st.integers(1, 3), m_count=st.integers(2, 3),
+       lengths=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+@example(s_count=3, m_count=3, lengths=[3, 1, 2, 3, 1], seed=0)
+@example(s_count=1, m_count=2, lengths=[2], seed=1)
+def test_mixture_passes_match_pair_enumeration(sizes, form, s_count, m_count, lengths, seed):
+    """mixture_log_likelihoods and mixture_posteriors against enumeration.
+
+    "scaled" runs the scaled E-step and the tree end rows under their
+    guards, "log" both in log form (TREE_FLOOR = inf); "tiny" cuts blocks
+    of one to four pairs and density calls and time chunks of a few cells.
+    """
+    model, data = make_mixture_case(s_count, m_count, lengths, seed)
+    log_w, pairs = enumerate_mixture(model, data)
+    seq_ll = np.array([_logsumexp(list(row)) for row in log_w])
+    eta = np.exp(log_w - seq_ll[:, None])
+    block_cells, chunk_cells = (4, 9) if sizes == "tiny" else (mixture.BLOCK_CELLS,
+                                                               kernels.CHUNK_CELLS)
+    floor = kernels.TREE_FLOOR if form == "scaled" else np.inf
+    with mock.patch.object(mixture, "BLOCK_CELLS", block_cells), \
+            mock.patch.object(kernels, "CHUNK_CELLS", chunk_cells), \
+            mock.patch.object(kernels, "TREE_FLOOR", floor), \
+            mock.patch.object(kernels, "forward_uses_tree", lambda b, t, s: form == "scaled"):
+        scores = mixture.mixture_log_likelihoods(model, data)
+        stats = mixture.mixture_posteriors(model, data)
+    for got in (scores, stats.log_likelihoods):
+        np.testing.assert_allclose(got, seq_ll, rtol=1e-13, atol=ORACLE_ATOL)
+    np.testing.assert_allclose(stats.eta, eta, rtol=0, atol=ORACLE_ATOL)
+    np.testing.assert_array_equal(stats.eta == 0.0, eta == 0.0)
+    half = len(lengths) // 2  # records alternate between nodes 1 and 2; node 4 has none
+    assert stats.node_counts.tolist() == [len(lengths) - half, half, 1, 0]
+    seen = []
+    for block in stats.blocks:
+        assert len({data.items[i].seq.shape[0] for i in block.seq}) == 1
+        for b, (i, m) in enumerate(zip(block.seq.tolist(), block.comp.tolist())):
+            seen.append((i, m))
+            ll, counts, gamma, support = pairs[i, m]
+            np.testing.assert_allclose(block.gamma[b], gamma, rtol=0, atol=ORACLE_ATOL)
+            np.testing.assert_allclose(block.transitions[b], counts, rtol=0, atol=ORACLE_ATOL)
+            assert np.all(block.gamma[b][~support] == 0.0)
+            if ll == -math.inf:
+                assert np.all(block.transitions[b] == 0.0)
+    assert sorted(seen) == sorted(pairs)
+    # the dataset holds live pairs at zero likelihood beside the zero coefficients
+    assert any(ll == -math.inf for ll, *_ in pairs.values())
 
 
 @pytest.mark.parametrize("form", ["log", "tree", "budget-9"])
