@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .hmm import (GaussianHmm, _cdf, _draw, check_rows_normalized, gaussian_log_densities,
-                  log_params, sample, validate_sequence)
+                  sample, validate_sequence)
 
 # Live pairs per block: one recursion step then covers about BLOCK_CELLS
 # (pair, state, state) cells, whatever the state count.
@@ -136,11 +136,12 @@ def reparameterize_rows(beta: np.ndarray) -> np.ndarray:
     """
     # C order makes each row sum bit-identical to summing that row on its own
     r = np.maximum(np.ascontiguousarray(beta, dtype=np.float64), 0.0)
-    r = r * r
+    r *= r
     total = r.sum(axis=-1, keepdims=True)
-    if np.any(total == 0.0):
+    if (total == 0.0).any():
         raise ValueError("degenerate score row: no positive entry")
-    return r / total
+    r /= total
+    return r
 
 
 @dataclass
@@ -313,9 +314,10 @@ def _live_pairs(components: GaussianHmm, weights: np.ndarray, seqs: list, kernel
     log_w = np.full(weights.shape, -np.inf)
     blocks = []
     for seq, comp in _live_pair_blocks(weights, seqs, components.num_states):
-        log_pi, log_a = log_params(components[comp])
-        if log_init is not None:
-            log_pi = log_init[comp]
+        # gather only the two parameter arrays the kernel reads, not components[comp]'s four
+        with np.errstate(divide="ignore"):
+            log_a = np.log(components.transition[comp])
+            log_pi = np.log(components.initial[comp]) if log_init is None else log_init[comp]
         out = kernel(log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
         log_w[seq, comp] = np.log(weights[seq, comp]) + out[-1]
         blocks.append((seq, comp, out))
@@ -423,15 +425,23 @@ def coefficient_gradient(alpha: np.ndarray, beta: np.ndarray,
     """
     if beta is None:
         raise ValueError("model has no score parameterization (beta is None)")
-    n = stats.eta.shape[0]
-    psi = stats.eta_by_node - stats.node_counts[:, None] * alpha
-    psi /= n
+    # in place on few temporaries: each Adam step calls this on (K, M)
+    # arrays, where numpy's per-call cost outweighs the arithmetic
+    psi = stats.node_counts[:, None] * alpha
+    np.subtract(stats.eta_by_node, psi, out=psi)
+    psi /= stats.eta.shape[0]
     overlap = alpha @ alpha.T
-    cross = np.sum(graph.weights * overlap, axis=1)
-    omega = alpha * (graph.weights @ alpha - cross[:, None])
-    pull = psi + lam * omega
-    safe_beta = np.where(beta > 0.0, beta, 1.0)
-    return np.where(beta > 0.0, (2.0 / safe_beta) * pull, 0.0)
+    overlap *= graph.weights
+    omega = graph.weights @ alpha
+    omega -= overlap.sum(axis=1, keepdims=True)
+    omega *= alpha
+    omega *= lam
+    psi += omega  # the pull
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = 2.0 / beta
+        grad *= psi
+    grad[beta <= 0.0] = 0.0
+    return grad
 
 
 def sample_from_node(model: SparseMixtureModel, node: int, length: int, rng,

@@ -87,11 +87,16 @@ class InitSpec:
 class AdamState:
     """First/second moment estimates for the score updates. One instance
     persists across all outer iterations of a fit, so the inner loop resumes
-    with warm moments."""
+    with warm moments. m and v are float copies owned by the state, because
+    each step updates them in place."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+
+    def __post_init__(self):
+        self.m = np.array(self.m, dtype=np.float64)
+        self.v = np.array(self.v, dtype=np.float64)
 
     @classmethod
     def zeros(cls, shape) -> "AdamState":
@@ -103,13 +108,26 @@ class AdamState:
 
 
 def adam_ascent_step(state: AdamState, grad: np.ndarray, config: TrainConfig) -> np.ndarray:
-    """Bias-corrected Adam step in the ascent direction."""
+    """Bias-corrected Adam step in the ascent direction.
+
+    state.m and state.v, float arrays of grad's shape, are updated in place.
+    The operations are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
+    and lr m_hat / (sqrt(v_hat) + eps), in that order, so the bits are too.
+    """
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    square = grad * grad
+    square *= 1.0 - ADAM_BETA2
+    state.v *= ADAM_BETA2
+    state.v += square
     m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
     v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    return config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    m_hat *= config.learning_rate
+    m_hat /= v_hat
+    return m_hat
 
 
 def _warn(warnings: list, msg: str) -> None:
@@ -256,9 +274,10 @@ def _update_scores(model: SparseMixtureModel, stats: MixtureSufficientStats,
     alpha = model.alpha.copy()
     for _ in range(config.inner_iters):
         grad = coefficient_gradient(alpha, beta, stats, graph, config.lam)
-        beta = beta + adam_ascent_step(adam, grad, config)
-        dead = np.all(beta <= 0.0, axis=1)
-        if np.any(dead):
+        beta += adam_ascent_step(adam, grad, config)
+        # array methods: np.all and np.any add a Python wrapper per call
+        dead = (beta <= 0.0).all(axis=1)
+        if dead.any():
             beta[dead] = 0.1
             adam.reset_rows(dead)
             _warn(warnings, f"nodes {np.flatnonzero(dead) + 1}: all scores fell to zero, "
@@ -282,10 +301,14 @@ def em_step_spamhmm(model: SparseMixtureModel, dataset: SequenceDataset,
     if graph.num_nodes != model.num_nodes:
         raise ValueError(
             f"graph has {graph.num_nodes} nodes but model has {model.num_nodes}")
-    stats = mixture_posteriors(model, dataset)
-    objective = _objective(stats.log_likelihoods, model.alpha, graph, config.lam)
     if adam is None:
         adam = AdamState.zeros(model.beta.shape)
+    elif adam.m.shape != model.beta.shape or adam.v.shape != model.beta.shape:
+        # a broadcastable state would share one row of moments across all nodes
+        raise ValueError(f"Adam state has moments of shape m {adam.m.shape}, "
+                         f"v {adam.v.shape}; the scores (beta) have shape {model.beta.shape}")
+    stats = mixture_posteriors(model, dataset)
+    objective = _objective(stats.log_likelihoods, model.alpha, graph, config.lam)
     alpha, beta = _update_scores(model, stats, graph, config, adam, warnings)
     components = _reestimate_components(model, dataset, stats, warnings)
     return SparseMixtureModel(components, alpha, beta), objective

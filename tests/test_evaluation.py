@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphhmm.evaluation import (cluster_assignments, relative_sparsity, roc_auc,
                                  score_dataset)
@@ -98,6 +100,20 @@ class TestRocAuc:
             ref_curve, ref_auc = self.threshold_sweep(scores)
             assert curve == ref_curve
             assert auc == ref_auc
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(scores=st.lists(st.tuples(
+        st.one_of(st.sampled_from([-np.inf, -2.0, -1.0, 0.0]), st.floats(-3.0, 3.0)),
+        st.sampled_from(["normal", "anomalous"])), min_size=2, max_size=40).filter(
+            lambda scores: len({label for _, label in scores}) == 2))
+    def test_area_is_the_pair_count(self, scores):
+        # a few repeated values and -inf give ties within and across classes
+        anomalous = [s for s, label in scores if label == "anomalous"]
+        normal = [s for s, label in scores if label == "normal"]
+        wins = sum(1.0 if a < b else 0.5 if a == b else 0.0
+                   for a in anomalous for b in normal)
+        _, auc = roc_auc(scores)
+        assert auc == pytest.approx(wins / (len(anomalous) * len(normal)), rel=0, abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

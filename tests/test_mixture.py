@@ -3,6 +3,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphhmm.hmm import GaussianHmm, sample
 from graphhmm.mixture import (AffinityGraph, RecordError, SequenceDataset,
@@ -13,6 +15,21 @@ from graphhmm.mixture import (AffinityGraph, RecordError, SequenceDataset,
 from graphhmm.training import em_step_mhmm
 
 from conftest import enum_mixture_log_likelihood, random_hmm
+
+
+SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+# exact zeros of either sign, so the rectifier's boundary is drawn often
+SCORES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def score_rows(draw):
+    """A (K, M) score array in which every row has at least one positive entry."""
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    beta = np.array(draw(st.lists(SCORES, min_size=k * m, max_size=k * m))).reshape(k, m)
+    for row in range(k):
+        beta[row, draw(st.integers(0, m - 1))] = draw(st.floats(1e-3, 4.0))
+    return beta
 
 
 def random_alpha_rows(rng, k, m):
@@ -61,6 +78,24 @@ class TestReparameterize:
         beta[3] = -1.0
         with pytest.raises(ValueError, match="degenerate"):
             reparameterize_rows(beta)
+
+    @SETTINGS
+    @given(beta=score_rows(), fortran=st.booleans())
+    def test_rows_match_reference_with_exact_zeros(self, beta, fortran):
+        out = reparameterize_rows(np.asfortranarray(beta) if fortran else beta)
+        rectified = np.maximum(beta, 0.0)
+        expected = [row ** 2 / np.sum(row ** 2) for row in rectified]  # each row on its own
+        assert np.array_equal(out, expected)
+        zero = out[beta <= 0.0]
+        assert np.all(zero == 0.0) and not np.signbit(zero).any()
+
+    @SETTINGS
+    @given(beta=score_rows(), dead=st.lists(st.floats(-4.0, 0.0), min_size=1, max_size=9),
+           at=st.integers(0, 5))
+    def test_row_without_positive_entry_raises(self, beta, dead, at):
+        row = np.resize(np.array(dead), beta.shape[1])
+        with pytest.raises(ValueError, match="degenerate"):
+            reparameterize_rows(np.insert(beta, min(at, beta.shape[0]), row, axis=0))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)

@@ -5,6 +5,8 @@
 array, so a batched (B, T, S) call reaching one of those names would raise
 inside the wrapper. This runs a tiny fit in both modes, a scoring pass and a
 forecast under the tracer and checks that every per-layer metric is finite.
+The inner Adam loop must stay visible: one gradient and one Adam span per
+step, timed into ``training.adam_loop_s``.
 """
 
 import math
@@ -29,10 +31,9 @@ def test_layer_metrics_are_finite():
                                                    (2, 1, "normal"), (3, 4, "normal"))])
     graph = AffinityGraph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]]))
     tracer = tracing.Tracer()
+    config = training.TrainConfig(lam=0.5, outer_iters=2, inner_iters=3)
     with tracer.recording("run"):
-        result = training.fit(data, graph, training.TrainConfig(lam=0.5, outer_iters=2,
-                                                                inner_iters=3),
-                              training.InitSpec(2, 2, 3))
+        result = training.fit(data, graph, config, training.InitSpec(2, 2, 3))
         training.fit(data, None, training.TrainConfig(outer_iters=2), training.InitSpec(2, 2, 3))
         scored = evaluation.score_dataset(result.model, data)
         evaluation.roc_auc([(s.avg_log_likelihood, s.label) for s in scored])
@@ -44,3 +45,8 @@ def test_layer_metrics_are_finite():
         assert math.isfinite(metrics[key]), key
     assert metrics["mixture.mixture_posteriors.calls"] == 4
     assert metrics["evaluation.score_dataset.s"] > 0.0
+    steps = config.outer_iters * config.inner_iters  # patience 5 > 2 iterations: no early stop
+    assert len(result.objectives) == config.outer_iters + 1
+    assert metrics["mixture.coefficient_gradient.calls"] == steps
+    assert metrics["training.adam_ascent_step.calls"] == steps
+    assert metrics["training.adam_loop_s"] > 0.0

@@ -7,8 +7,8 @@ import pytest
 
 from graphhmm import kernels, training
 from graphhmm.hmm import VARIANCE_FLOOR, GaussianHmm
-from graphhmm.mixture import (AffinityGraph, SequenceDataset, SparseMixtureModel,
-                              mixture_log_likelihood, mixture_posteriors,
+from graphhmm.mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
+                              SparseMixtureModel, mixture_log_likelihood, mixture_posteriors,
                               regularizer_value, reparameterize_rows)
 from graphhmm.training import (AdamState, FitResult, InitSpec, TrainConfig,
                                _update_scores, _weighted_square_deviations,
@@ -51,6 +51,55 @@ def baum_welch_oracle(hmm, seqs):
         var_num += np.einsum("ts,tsd->sd", gamma[1:], diff * diff)
     variances = np.maximum(var_num / occ[:, None], VARIANCE_FLOOR)
     return initial, transition, means, variances
+
+
+def reference_gradient(alpha, beta, stats, graph, lam):
+    """coefficient_gradient as one expression per term, with fresh temporaries."""
+    n = stats.eta.shape[0]
+    psi = stats.eta_by_node - stats.node_counts[:, None] * alpha
+    psi /= n
+    overlap = alpha @ alpha.T
+    cross = np.sum(graph.weights * overlap, axis=1)
+    omega = alpha * (graph.weights @ alpha - cross[:, None])
+    pull = psi + lam * omega
+    safe_beta = np.where(beta > 0.0, beta, 1.0)
+    return np.where(beta > 0.0, (2.0 / safe_beta) * pull, 0.0)
+
+
+def reference_adam_step(state, grad, config):
+    """adam_ascent_step as Kingma & Ba write it, rebinding the moments."""
+    state.t += 1
+    state.m = training.ADAM_BETA1 * state.m + (1.0 - training.ADAM_BETA1) * grad
+    state.v = training.ADAM_BETA2 * state.v + (1.0 - training.ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - training.ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - training.ADAM_BETA2 ** state.t)
+    return config.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+
+
+def reference_rectifier(beta):
+    r = np.maximum(np.ascontiguousarray(beta, dtype=np.float64), 0.0)
+    r = r * r
+    total = r.sum(axis=-1, keepdims=True)
+    if np.any(total == 0.0):
+        raise ValueError("degenerate score row: no positive entry")
+    return r / total
+
+
+def reference_update_scores(model, stats, graph, config, adam, warnings):
+    """_update_scores over the three reference formulas above."""
+    beta = model.beta.copy()
+    alpha = model.alpha.copy()
+    for _ in range(config.inner_iters):
+        grad = reference_gradient(alpha, beta, stats, graph, config.lam)
+        beta = beta + reference_adam_step(adam, grad, config)
+        dead = np.all(beta <= 0.0, axis=1)
+        if np.any(dead):
+            beta[dead] = 0.1
+            adam.reset_rows(dead)
+            warnings.append(f"nodes {np.flatnonzero(dead) + 1}: all scores fell to zero, "
+                            f"rows reset to uniform")
+        alpha = reference_rectifier(beta)
+    return alpha, beta
 
 
 class TestClosedFormUpdates:
@@ -243,6 +292,74 @@ class TestGradientMode:
         _, new_beta = _update_scores(model, stats, graph, config, adam, warnings)
         assert any("reset" in w for w in warnings)
         assert np.all(new_beta > 0.0)
+
+    def test_score_loop_bit_identical_to_reference_formulas(self):
+        # random responsibilities, a node without data and a graph with
+        # negative weights: scores cross zero and rows die and are reset
+        rng = np.random.default_rng(0)
+        k, m, n = 5, 4, 12
+        nodes = np.sort(rng.integers(1, k, size=n))
+        eta = rng.dirichlet(np.full(m, 0.3), size=n)
+        stats = MixtureSufficientStats(node_counts=np.bincount(nodes - 1, minlength=k),
+                                       eta=eta, blocks=[], nodes=nodes,
+                                       log_likelihoods=np.zeros(n))
+        weights = np.triu(rng.uniform(-0.5, 1.0, size=(k, k)), 1)
+        graph = AffinityGraph(weights + weights.T)
+        beta = rng.uniform(-0.3, 0.6, size=(k, m))
+        beta[:, 0] = np.abs(beta[:, 0]) + 0.05
+        beta[1, 2] = 0.0
+        comps = [random_hmm(rng, 2, 1) for _ in range(m)]
+        model = SparseMixtureModel(comps, reparameterize_rows(beta), beta)
+        # lam is no power of 2, whose products would be exact in any order
+        config = TrainConfig(lam=0.3, inner_iters=100, learning_rate=0.05)
+        adam, ref_adam = AdamState.zeros(beta.shape), AdamState.zeros(beta.shape)
+        warnings, ref_warnings = [], []
+        alpha, new_beta = _update_scores(model, stats, graph, config, adam, warnings)
+        ref_alpha, ref_beta = reference_update_scores(model, stats, graph, config, ref_adam,
+                                                      ref_warnings)
+        assert ref_warnings and (np.sign(ref_beta) != np.sign(beta)).any()
+        for got, want in ((alpha, ref_alpha), (new_beta, ref_beta), (adam.m, ref_adam.m),
+                          (adam.v, ref_adam.v)):
+            assert np.array_equal(got, want)
+        assert adam.t == ref_adam.t == config.inner_iters
+        assert warnings == ref_warnings
+        np.testing.assert_array_equal(model.beta, beta)  # the model's scores stay intact
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 1), (4, 2)])
+    def test_adam_state_of_another_shape_rejected(self, moment, shape):
+        # (1, 2) and (3, 1) would broadcast against (3, 2) scores, sharing moments
+        rng = np.random.default_rng(12)
+        beta = np.array([[0.9, 0.4], [0.3, 1.1], [0.5, 0.5]])
+        model = SparseMixtureModel([random_hmm(rng, 2, 1) for _ in range(2)],
+                                   reparameterize_rows(beta), beta)
+        data = small_dataset(rng, [1, 2, 3], [3, 4, 3])
+        graph = AffinityGraph(np.ones((3, 3)) - np.eye(3))
+        adam = AdamState.zeros(beta.shape)
+        setattr(adam, moment, np.zeros(shape))
+        with pytest.raises(ValueError, match="Adam state") as err:
+            em_step_spamhmm(model, data, graph, TrainConfig(lam=0.1, inner_iters=2), adam)
+        assert str(shape) in str(err.value) and str(beta.shape) in str(err.value)
+
+    def test_adam_state_owns_float_moments(self):
+        # the steps update m and v in place: one integer array passed as both
+        # must act as two float zero moments, and the caller's array must stay
+        rng = np.random.default_rng(13)
+        beta = np.array([[0.9, 0.4], [0.3, 1.1]])
+        model = SparseMixtureModel([random_hmm(rng, 2, 1) for _ in range(2)],
+                                   reparameterize_rows(beta), beta)
+        data = small_dataset(rng, [1, 2], [3, 4])
+        graph = AffinityGraph([[0.0, 1.0], [1.0, 0.0]])
+        config = TrainConfig(lam=0.1, inner_iters=4, learning_rate=0.05)
+        moments = np.zeros(beta.shape, dtype=np.int64)
+        shared = AdamState(moments, moments)
+        fresh = AdamState.zeros(beta.shape)
+        got, _ = em_step_spamhmm(model, data, graph, config, shared)
+        want, _ = em_step_spamhmm(model, data, graph, config, fresh)
+        np.testing.assert_array_equal(got.beta, want.beta)
+        np.testing.assert_array_equal(shared.m, fresh.m)
+        np.testing.assert_array_equal(shared.v, fresh.v)
+        assert not moments.any()
 
     def test_adam_step_properties(self):
         from graphhmm.training import adam_ascent_step
