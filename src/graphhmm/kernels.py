@@ -13,13 +13,15 @@ E-step. ``pair_posteriors`` runs the scaled forward-backward (Rabiner 1989,
 the row's sum, beta_{t-1} = A (e_t * beta_t) / c_t, gamma = alpha * beta,
 counts A * sum_t alpha_{t-1}^T (e_t * beta_t / c_t) and log p = sum_t (log
 c_t + m_t) plus the initial row's shift, so every step is a stacked matmul.
-The block takes the log form whole (``forward_pairs``, ``backward_pairs``
-and ``_xi_chunk``) when a pair has zero likelihood, a value overflows (only
-off alpha's support), or an entry of alpha that the log form has finite
-falls below TREE_FLOOR = 2**-900 before it is divided by c_t. Every such
-entry is then a sum of terms of at least TREE_FLOOR, where a term lost to
-underflow moves it by less than S * 2**-122 relative, and alpha is zero
-exactly where the log form is -inf: exact zeros of A and pi stay exact.
+A pair takes the log form (``forward_pairs``, ``backward_pairs`` and
+``_xi_chunk``) when it has zero likelihood, a value of it overflows (only
+off alpha's support), or an entry of its alpha that the log form has finite
+falls below TREE_FLOOR = 2**-900 before it is divided by c_t; the pairs of
+a block that fail run in log form together, and a block where all fail
+runs in log form whole. Every entry of a pair that passes is a sum of
+terms of at least TREE_FLOOR, where a term lost to underflow moves it by
+less than S * 2**-122 relative, and alpha is zero exactly where the log
+form is -inf: exact zeros of A and pi stay exact.
 
 End rows. Scoring and forecasting read only each pair's last forward row,
 which ``forward_ends`` returns: from the log form or, where the cost model
@@ -232,62 +234,80 @@ def pair_posteriors(log_pi, log_a, log_obs):
     Takes the arguments of forward_pairs and returns gamma (B, T + 1, S), a
     view of a time-major array, the expected transition counts (B, S, S) and
     the log-likelihoods (B,); a pair at zero likelihood gets -inf and zeros.
+    The pairs that fail the scaled form's guard run again in log form, as
+    one sub-block whose results replace theirs; a block where every pair
+    fails takes the log form whole.
     """
     out = _scaled_posteriors(log_pi, log_a, log_obs)
-    return _log_posteriors(log_pi, log_a, log_obs) if out is None else out
+    if out is None:
+        return _log_posteriors(log_pi, log_a, log_obs)
+    gamma, counts, ll, failed = out
+    if failed.any():
+        gamma[failed], counts[failed], ll[failed] = _log_posteriors(
+            log_pi[failed], log_a[failed], log_obs[failed])
+    return gamma, counts, ll
 
 
 def _scaled_posteriors(log_pi, log_a, log_obs):
-    """pair_posteriors in scaled form, or None where its guard fails.
+    """pair_posteriors in scaled form plus the (B,) mask of pairs that fail its guard.
 
-    Tables are time-major; scale holds c_t, c_0 the shifted initial row's sum.
-    In place, e becomes e_t * beta_t / c_t and beta becomes gamma.
+    None when every pair fails. The guard is checked pair by pair, and no
+    step mixes pairs, so a failed pair's entries, whatever they hold, move
+    no other pair's. Tables are time-major; scale holds c_t, c_0 the shifted
+    initial row's sum. Both recursions step on the (B, S, 1) column views
+    that zip hands out, so a step indexes no table; the forward sums use
+    np.add.reduce, which np.sum wraps. In place, e becomes e_t * beta_t /
+    c_t and beta becomes gamma.
     """
     b_count, t_len, s_count = log_obs.shape
     obs = log_obs.transpose(1, 0, 2)
     shift = np.maximum(obs.max(axis=2, keepdims=True), _LOWEST)
     pi_shift = np.maximum(log_pi.max(axis=1, keepdims=True), _LOWEST)
+    alpha = np.empty((t_len + 1, b_count, s_count))
+    alpha[0] = np.exp(log_pi - pi_shift)
+    failed = ((alpha[0] < TREE_FLOOR) & (log_pi > -np.inf)).any(axis=1)
+    if failed.all():
+        return None
     e, a = np.exp(obs - shift), np.exp(log_a)
     a_to = np.ascontiguousarray(a.swapaxes(1, 2))  # a_to[b, u, s] = a[b, s, u]
-    alpha = np.empty((t_len + 1, b_count, s_count))
     scale = np.empty((t_len + 1, b_count, 1))
-    alpha[0] = np.exp(log_pi - pi_shift)
-    if np.any((alpha[0] < TREE_FLOOR) & (log_pi > -np.inf)):
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero c_t fails the guard
-        for t in range(t_len + 1):
-            row = alpha[t]
-            if t:
-                np.matmul(a_to, alpha[t - 1, :, :, None], out=row[:, :, None])
-                row *= e[t - 1]
-            np.sum(row, axis=1, keepdims=True, out=scale[t])
-            row /= scale[t]
-    if not np.all(scale > 0.0):  # a pair at zero likelihood
-        return None
-    low = alpha[1:] < TREE_FLOOR / scale[1:]  # below the floor before division
+    alpha_col, e_col = alpha[..., None], e[..., None]  # (B, S, 1) views as they iterate
+    # a zero c_t, and what follows from it in a failed pair, fails the guard
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.add.reduce(alpha[0], axis=1, keepdims=True, out=scale[0])
+        alpha[0] /= scale[0]
+        for prev, col, e_t, c in zip(alpha_col, alpha_col[1:], e_col, scale[1:, :, :, None]):
+            np.matmul(a_to, prev, out=col)
+            col *= e_t
+            np.add.reduce(col, axis=1, keepdims=True, out=c)
+            col /= c
+        failed |= ~(scale > 0.0).all(axis=(0, 2))  # a pair at zero likelihood
+        low = alpha[1:] < TREE_FLOOR / scale[1:]  # below the floor before division
     if low.any():  # and reachable with a finite density, so finite in log form
         reach = np.matmul((alpha[:-1] > 0.0).transpose(1, 0, 2).astype(np.float32),
                           (log_a > -np.inf).astype(np.float32)).transpose(1, 0, 2)
-        if np.any(low & (reach > 0.0) & (obs > -np.inf)):
-            return None
+        failed |= (low & (reach > 0.0) & (obs > -np.inf)).any(axis=(0, 2))
+    if failed.all():
+        return None
     beta, counts = np.empty((t_len + 1, b_count, s_count)), np.zeros((b_count, s_count, s_count))
     beta[t_len] = 1.0
-    e /= scale[1:]
+    beta_col = beta[..., None]
     chunk = max(1, CHUNK_CELLS // (b_count * s_count))
-    with np.errstate(over="ignore", invalid="ignore"):  # off alpha's support; caught below
-        for t in range(t_len, 0, -1):
-            e[t - 1] *= beta[t]
-            np.matmul(a, e[t - 1, :, :, None], out=beta[t - 1, :, :, None])
+    # overflows off alpha's support, and a failed pair's zero c_t, are caught below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e /= scale[1:]
+        for col, ahead, here in zip(e_col[::-1], beta_col[:0:-1], beta_col[-2::-1]):
+            col *= ahead  # t runs from T down to 1: e_t, beta_t and beta_{t-1}
+            np.matmul(a, col, out=here)
         for start in range(0, t_len, chunk):
             stop = min(start + chunk, t_len)
             counts += np.matmul(alpha[start:stop].transpose(1, 2, 0),
                                 e[start:stop].transpose(1, 0, 2))
         counts *= a
-    if not (np.all(np.isfinite(counts)) and np.all(np.isfinite(beta[0]))):
-        return None
-    beta *= alpha
-    ll = np.log(scale[:, :, 0]).sum(axis=0) + shift[:, :, 0].sum(axis=0) + pi_shift[:, 0]
-    return beta.transpose(1, 0, 2), counts, ll
+        failed |= ~(np.isfinite(counts).all(axis=(1, 2)) & np.isfinite(beta[0]).all(axis=1))
+        beta *= alpha
+        ll = np.log(scale[:, :, 0]).sum(axis=0) + shift[:, :, 0].sum(axis=0) + pi_shift[:, 0]
+    return None if failed.all() else (beta.transpose(1, 0, 2), counts, ll, failed)
 
 
 def _log_posteriors(log_pi, log_a, log_obs):

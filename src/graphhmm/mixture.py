@@ -245,6 +245,13 @@ class MixtureSufficientStats:
         total.flags.writeable = False
         return total
 
+    @cached_property
+    def node_count_column(self) -> np.ndarray:
+        """node_counts as a float64 column, shape (K, 1); computed once, read-only."""
+        column = self.node_counts[:, None].astype(np.float64)
+        column.flags.writeable = False
+        return column
+
 
 def check_node(model: SparseMixtureModel, node: int) -> int:
     if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
@@ -427,7 +434,7 @@ def coefficient_gradient(alpha: np.ndarray, beta: np.ndarray,
         raise ValueError("model has no score parameterization (beta is None)")
     # in place on few temporaries: each Adam step calls this on (K, M)
     # arrays, where numpy's per-call cost outweighs the arithmetic
-    psi = stats.node_counts[:, None] * alpha
+    psi = stats.node_count_column * alpha
     np.subtract(stats.eta_by_node, psi, out=psi)
     psi /= stats.eta.shape[0]
     overlap = alpha @ alpha.T

@@ -334,26 +334,44 @@ def _kmeans(frames: np.ndarray, k: int, rng: np.random.Generator,
     """Lloyd's algorithm from k-means++ seeds; returns the (k, D) centres.
 
     A (k, N) table holds each centre's squared distances, added up one
-    feature at a time, and the labels carry over between iterations. Only
-    the centres whose membership changed, the old and new labels of the
-    frames that moved, are recomputed, and only their rows of the table: an
-    unchanged centre has the same members, so its mean and its distances
-    are the same bits. A centre left without members stays where it is.
-    argmin takes the first of tied centres.
+    feature at a time from a contiguous (D, N) copy of the frames, and the
+    labels carry over between iterations. A frame's label is the first
+    centre at its smallest distance, as argmin takes it: np.minimum.reduce
+    gives the smallest distances, and a pass from centre k - 1 down to 0
+    writes each centre's index where its row equals them, so the first tied
+    centre writes last. Only the centres whose membership changed, the old
+    and new labels of the frames that moved, are recomputed, and only their
+    rows of the table: an unchanged centre has the same members, so its
+    mean and its distances are the same bits. The members are gathered
+    once per iteration by a stable sort of the labels, held in the smallest
+    unsigned dtype that holds k - 1 so that numpy radix-sorts them, and a
+    centre is np.add.reduce over its members, in frame order, divided by
+    their count: the operations of mean on the same rows, so the centres are
+    the per-centre means bit for bit at every D. A centre left without
+    members stays where it is.
     """
     centers = _kmeans_plus_plus(frames, k, rng)
-    d2 = np.empty((k, frames.shape[0]))
+    n, dim = frames.shape
+    columns = np.ascontiguousarray(frames.T)  # (D, N)
+    d2, square, best = np.empty((k, n)), np.empty(n), np.empty(n)
+    tied = np.empty(n, dtype=bool)
+    labels, new_labels = None, np.zeros(n, dtype=np.min_scalar_type(k - 1))
     stale = range(k)  # centres whose table rows are out of date
-    labels = None
     for _ in range(max_iters):
         for j in stale:
-            row = np.subtract(frames[:, 0], centers[j, 0], out=d2[j])
+            row = np.subtract(columns[0], centers[j, 0], out=d2[j])
             row *= row
-            for f in range(1, frames.shape[1]):
-                row += (frames[:, f] - centers[j, f]) ** 2
-        new_labels = np.argmin(d2, axis=0)
+            for f in range(1, dim):
+                np.subtract(columns[f], centers[j, f], out=square)
+                square *= square
+                row += square
+        np.minimum.reduce(d2, axis=0, out=best)
+        for j in range(k - 1, -1, -1):
+            np.equal(d2[j], best, out=tied)
+            np.putmask(new_labels, tied, j)
         if labels is None:
             changed = range(k)
+            labels, new_labels = new_labels, np.zeros_like(new_labels)
         else:
             moved = new_labels != labels
             if not moved.any():
@@ -361,13 +379,16 @@ def _kmeans(frames: np.ndarray, k: int, rng: np.random.Generator,
             # a mask, not np.union1d, whose np.unique imports numpy.ma (1.7 MiB)
             changed = np.zeros(k, dtype=bool)
             changed[labels[moved]] = changed[new_labels[moved]] = True
-            changed = np.flatnonzero(changed)
-        labels = new_labels
+            changed = np.flatnonzero(changed).tolist()
+            labels, new_labels = new_labels, labels
+        members = frames.take(np.argsort(labels, kind="stable"), axis=0)
+        counts = np.bincount(labels, minlength=k)
+        ends, counts = counts.cumsum().tolist(), counts.tolist()
         stale = []
         for j in changed:
-            members = frames[labels == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
+            if counts[j]:
+                rows = members[ends[j] - counts[j]:ends[j]]
+                centers[j] = np.add.reduce(rows, axis=0) / counts[j]
                 stale.append(j)
     return centers
 

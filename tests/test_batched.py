@@ -14,9 +14,12 @@ the log form.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphhmm import kernels, mixture
 from graphhmm.forecast import condition, predictive_log_likelihood
@@ -25,8 +28,9 @@ from graphhmm.mixture import (AffinityGraph, MixtureSufficientStats, SequenceDat
                               SparseMixtureModel, mixture_log_likelihood,
                               mixture_log_likelihoods, mixture_posteriors,
                               pair_log_densities, reparameterize_rows)
-from graphhmm.training import (RESPONSIBILITY_EPS, AdamState, TrainConfig, _update_scores,
-                               em_step_mhmm, em_step_spamhmm)
+from graphhmm.training import (RESPONSIBILITY_EPS, AdamState, TrainConfig,
+                               _reestimate_components, _update_scores, em_step_mhmm,
+                               em_step_spamhmm)
 
 from conftest import random_hmm
 
@@ -88,13 +92,19 @@ def per_pair_mstep(model, data, eta, posts):
             trans_den += w * post.gamma[:-1].sum(axis=0)
             occ += w * post.gamma[1:].sum(axis=0)
             mean_num += w * (post.gamma[1:].T @ item.seq)
-        means = mean_num / occ[:, None]
+        # a state with near-zero occupancy keeps its transition or emission row
+        rows, states = trans_den >= RESPONSIBILITY_EPS, occ >= RESPONSIBILITY_EPS
+        transition, means, variances = (old.transition.copy(), old.means.copy(),
+                                        old.variances.copy())
+        transition[rows] = trans_num[rows] / trans_den[rows, None]
+        means[states] = mean_num[states] / occ[states, None]
         var_num = np.zeros((s_count, dim))
         for i, item in live:
             diff = item.seq[:, None, :] - means[None, :, :]
             var_num += eta[i, m] * np.einsum("ts,tsd->sd", posts[i, m].gamma[1:], diff * diff)
-        out.append(GaussianHmm(pi_num / resp, trans_num / trans_den[:, None], means,
-                               np.maximum(var_num / occ[:, None], VARIANCE_FLOOR)))
+        variances[states] = var_num[states] / occ[states, None]
+        out.append(GaussianHmm(pi_num / resp, transition, means,
+                               np.maximum(variances, VARIANCE_FLOOR)))
     return out
 
 
@@ -258,3 +268,65 @@ def test_live_pair_blocks_order(lengths, block_cells, monkeypatch):
     got = [list(zip(seq.tolist(), comp.tolist()))
            for seq, comp in mixture._live_pair_blocks(weights, seqs, 3)]
     assert got == reference_blocks(weights, seqs, 3)
+
+
+def make_mstep_case(s_count, m_count, dim, lengths, dead, seed):
+    """A mixture over K = 3 nodes whose records alternate between nodes 1 and 2.
+
+    Node 3 has no data and some coefficients are zero. With dead set,
+    component 0 is never chosen (its column of alpha is zero), and with
+    S >= 2 component 1's last state can never be entered and sits far from
+    the data, so its transition row and its emission row keep their values.
+    """
+    rng = np.random.default_rng(seed)
+    comps = [random_hmm(rng, s_count, dim, sparse_transitions=True) for _ in range(m_count)]
+    alpha = rng.uniform(0.1, 1.0, size=(3, m_count)) * (rng.random((3, m_count)) < 0.7)
+    alpha[np.arange(3), rng.integers(m_count, size=3)] += 0.5
+    if dead and m_count > 1:
+        alpha[:, 0] = 0.0
+        alpha[:, 1] += 0.1
+    if dead and m_count > 1 and s_count > 1:
+        old = comps[1]
+        initial, transition = old.initial.copy(), old.transition.copy()
+        initial[-1], transition[:, -1], transition[-1] = 0.0, 0.0, 1.0 / s_count
+        means = old.means.copy()
+        means[-1] = 1e3
+        comps[1] = GaussianHmm(initial / initial.sum(),
+                               transition / transition.sum(axis=1, keepdims=True),
+                               means, old.variances)
+    model = SparseMixtureModel(comps, alpha / alpha.sum(axis=1, keepdims=True))
+    data = SequenceDataset([(i % 2 + 1, rng.normal(size=(t, dim)) * 1.5)
+                            for i, t in enumerate(lengths)])
+    return model, data
+
+
+@pytest.mark.parametrize("sizes", ["default", "tiny"])
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(s_count=st.integers(1, 3), m_count=st.integers(1, 3), dim=st.integers(1, 3),
+       lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6), dead=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(s_count=3, m_count=3, dim=2, lengths=[4, 1, 5, 4, 2, 5], dead=True, seed=0)
+@example(s_count=1, m_count=2, dim=1, lengths=[1], dead=False, seed=1)
+def test_reestimate_components_matches_per_pair(sizes, s_count, m_count, dim, lengths, dead,
+                                                seed):
+    """_reestimate_components' closed forms, summed over the E-step's blocks,
+    against one loop over components and sequences; "tiny" cuts blocks of
+    one to four pairs and time chunks of a few cells."""
+    model, data = make_mstep_case(s_count, m_count, dim, lengths, dead, seed)
+    eta, _, posts = per_pair_estep(model, data)
+    block_cells, chunk_cells = (4, 9) if sizes == "tiny" else (mixture.BLOCK_CELLS,
+                                                               kernels.CHUNK_CELLS)
+    with mock.patch.object(mixture, "BLOCK_CELLS", block_cells), \
+            mock.patch.object(kernels, "CHUNK_CELLS", chunk_cells):
+        stats = mixture_posteriors(model, data)
+        warnings = []
+        got = _reestimate_components(model, data, stats, warnings)
+    expected = per_pair_mstep(model, data, eta, posts)
+    assert_components_close(got, expected)
+    if dead and m_count > 1:
+        assert any(w.startswith("component 1: total responsibility") for w in warnings)
+        for name in ("initial", "transition", "means", "variances"):
+            assert np.array_equal(getattr(got[0], name), getattr(model.components[0], name))
+        if s_count > 1:
+            assert np.array_equal(got[1].transition[-1], model.components[1].transition[-1])
+            assert np.array_equal(got[1].means[-1], model.components[1].means[-1])

@@ -14,7 +14,9 @@ posteriors, the expected transition counts and the log-likelihoods must
 match an oracle that enumerates every hidden path, with exact zeros where
 no path passes, and also the log-form reference: ``backward_pairs``,
 gamma = exp(la + lb - ll) and the summed pairwise posteriors of
-``_xi_chunk``.
+``_xi_chunk``. The scaled form must give the bits of its plain loop, kept
+here as a reference, and in a block with a far-off pair only that pair
+may reach the log form.
 
 ``mixture_log_likelihoods`` and ``mixture_posteriors`` run on small
 mixtures (T <= 3, mixed lengths) with a zero coefficient, a node without
@@ -142,6 +144,12 @@ def assert_same_table(got, expected, atol):
     np.testing.assert_allclose(got[finite], expected[finite], rtol=0, atol=atol)
 
 
+def every_pair_scaled(log_pi, log_a, log_obs):
+    """Whether every pair of the block passes the scaled form's guard."""
+    out = kernels._scaled_posteriors(log_pi, log_a, log_obs)
+    return out is not None and not out[3].any()
+
+
 def run_kernels(log_pi, log_a, log_obs, matmul, chunk_cells):
     """The backward tables, and the E-step in the scaled form (matmul) or the log form."""
     with mock.patch.object(kernels, "TREE_FLOOR", kernels.TREE_FLOOR if matmul else np.inf), \
@@ -199,7 +207,7 @@ def test_kernels_match_path_enumeration(matmul, chunk_cells, kind, s_count, t_le
     lb, gamma, counts, ll = run_kernels(log_pi, log_a, log_obs, matmul, chunk_cells)
     if matmul and kind not in ("zero_likelihood", "far_off") and scale == 1.0:
         # the case ran the scaled form, not its log-form fallback
-        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is not None
+        assert every_pair_scaled(log_pi, log_a, log_obs)
     assert not np.isnan(lb).any()
     for b in range(b_count):
         assert_same_table(lb[b], enumerate_pair(log_pi[b], log_a[b], log_obs[b])[0], ORACLE_ATOL)
@@ -257,8 +265,133 @@ def test_block_posteriors_match_path_enumeration(form, kind, s_count, t_len, b_c
     log_pi, log_a = log_params(components)
     log_obs = gaussian_log_densities(np.stack(seqs), components.means, components.variances)
     if form == "scaled" and kind not in ("zero_likelihood", "far_off") and scale == 1.0:
-        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is not None
+        assert every_pair_scaled(log_pi, log_a, log_obs)
     assert_matches_enumeration(log_pi, log_a, log_obs, gamma, transitions, ll)
+
+
+def reference_scaled_posteriors(log_pi, log_a, log_obs):
+    """The scaled E-step as one loop over t per recursion, guarded per block.
+
+    The plain form: np.sum for c_t, the t = 0 row inside the forward loop
+    and fresh views of the tables at every step, and None when any pair
+    fails the guard. _scaled_posteriors must give the same bits.
+    """
+    b_count, t_len, s_count = log_obs.shape
+    obs = log_obs.transpose(1, 0, 2)
+    shift = np.maximum(obs.max(axis=2, keepdims=True), kernels._LOWEST)
+    pi_shift = np.maximum(log_pi.max(axis=1, keepdims=True), kernels._LOWEST)
+    e, a = np.exp(obs - shift), np.exp(log_a)
+    a_to = np.ascontiguousarray(a.swapaxes(1, 2))
+    alpha = np.empty((t_len + 1, b_count, s_count))
+    scale = np.empty((t_len + 1, b_count, 1))
+    alpha[0] = np.exp(log_pi - pi_shift)
+    if np.any((alpha[0] < kernels.TREE_FLOOR) & (log_pi > -np.inf)):
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(t_len + 1):
+            row = alpha[t]
+            if t:
+                np.matmul(a_to, alpha[t - 1, :, :, None], out=row[:, :, None])
+                row *= e[t - 1]
+            np.sum(row, axis=1, keepdims=True, out=scale[t])
+            row /= scale[t]
+    if not np.all(scale > 0.0):
+        return None
+    low = alpha[1:] < kernels.TREE_FLOOR / scale[1:]
+    if low.any():
+        reach = np.matmul((alpha[:-1] > 0.0).transpose(1, 0, 2).astype(np.float32),
+                          (log_a > -np.inf).astype(np.float32)).transpose(1, 0, 2)
+        if np.any(low & (reach > 0.0) & (obs > -np.inf)):
+            return None
+    beta, counts = np.empty((t_len + 1, b_count, s_count)), np.zeros((b_count, s_count, s_count))
+    beta[t_len] = 1.0
+    e /= scale[1:]
+    chunk = max(1, kernels.CHUNK_CELLS // (b_count * s_count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(t_len, 0, -1):
+            e[t - 1] *= beta[t]
+            np.matmul(a, e[t - 1, :, :, None], out=beta[t - 1, :, :, None])
+        for start in range(0, t_len, chunk):
+            stop = min(start + chunk, t_len)
+            counts += np.matmul(alpha[start:stop].transpose(1, 2, 0),
+                                e[start:stop].transpose(1, 0, 2))
+        counts *= a
+    if not (np.all(np.isfinite(counts)) and np.all(np.isfinite(beta[0]))):
+        return None
+    beta *= alpha
+    ll = np.log(scale[:, :, 0]).sum(axis=0) + shift[:, :, 0].sum(axis=0) + pi_shift[:, 0]
+    return beta.transpose(1, 0, 2), counts, ll
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("chunk_cells", [kernels.CHUNK_CELLS, 9], ids=["chunk-default", "chunk-9"])
+@SETTINGS
+@given(kind=st.sampled_from(KINDS + ("far_off",)), s_count=st.integers(1, 5),
+       t_len=st.integers(1, 8), b_count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 30.0, 600.0]))
+@example(kind="dense", s_count=1, t_len=1, b_count=1, seed=0, scale=1.0)
+@example(kind="dense", s_count=4, t_len=1, b_count=1, seed=1, scale=1.0)
+@example(kind="dense", s_count=1, t_len=5, b_count=3, seed=2, scale=30.0)
+@example(kind="zero_initial", s_count=4, t_len=6, b_count=1, seed=3, scale=1.0)
+@example(kind="zero_transitions", s_count=5, t_len=7, b_count=4, seed=4, scale=1.0)
+@example(kind="left_right", s_count=3, t_len=8, b_count=2, seed=5, scale=1.0)
+@example(kind="zero_likelihood", s_count=3, t_len=4, b_count=3, seed=6, scale=1.0)
+@example(kind="far_off", s_count=3, t_len=4, b_count=3, seed=7, scale=1.0)
+def test_scaled_posteriors_bit_identical_to_reference_loop(chunk_cells, kind, s_count, t_len,
+                                                           b_count, seed, scale):
+    """The column views, the hoisted t = 0 row, np.add.reduce and the per-pair
+    guard change no bit: a block the reference passes gives its gamma, counts
+    and log-likelihoods exactly, and one it refuses has a failed pair. The
+    pairs that pass in a block with a failed pair give the reference's bits
+    on those pairs alone."""
+    log_pi, log_a, log_obs = make_block(kind, s_count, t_len, b_count, seed, scale)
+    with mock.patch.object(kernels, "CHUNK_CELLS", chunk_cells):
+        out = kernels._scaled_posteriors(log_pi, log_a, log_obs)
+        expected = reference_scaled_posteriors(log_pi, log_a, log_obs)
+        if expected is not None:
+            assert out is not None and not out[3].any()
+            for got, want in zip(out, expected):
+                assert_same_bits(got, want)
+            return
+        if out is None:
+            return
+        passed = ~out[3]
+        assert out[3].any()
+        expected = reference_scaled_posteriors(log_pi[passed], log_a[passed], log_obs[passed])
+    assert expected is not None
+    assert_same_bits(out[0][passed], expected[0])
+    assert_same_bits(out[2][passed], expected[2])
+    # the counts are summed in time chunks of CHUNK_CELLS // (B * S) steps
+    chunks = {min(t_len, max(1, chunk_cells // (b * s_count))) for b in (b_count, passed.sum())}
+    if len(chunks) == 1:
+        assert_same_bits(out[1][passed], expected[1])
+
+
+def test_far_off_pair_alone_takes_the_log_form(monkeypatch):
+    """One far-off pair in a 12-pair block: its states lie 100 nats apart
+    per observation, so its forward entries drop below the floor. Only it
+    reaches the log form, where it gets the bits of _log_posteriors on it
+    alone; the other eleven keep their scaled results."""
+    log_pi, log_a, log_obs = make_block("dense", 8, 3, 12, 16, 1.0)
+    log_obs[0] -= 100.0 * np.arange(8)
+    alone = kernels._log_posteriors(log_pi[:1], log_a[:1], log_obs[:1])
+    calls = []
+    log_posteriors = kernels._log_posteriors
+
+    def spy(log_pi, log_a, log_obs):
+        calls.append(log_obs.shape[0])
+        return log_posteriors(log_pi, log_a, log_obs)
+    monkeypatch.setattr(kernels, "_log_posteriors", spy)
+    gamma, counts, ll = kernels.pair_posteriors(log_pi, log_a, log_obs)
+    assert calls == [1]
+    for got, want in zip((gamma[:1], counts[:1], ll[:1]), alone):
+        assert_same_bits(got, want)
+    assert every_pair_scaled(log_pi[1:], log_a[1:], log_obs[1:])
+    assert_matches_enumeration(log_pi[1:], log_a[1:], log_obs[1:], gamma[1:], counts[1:], ll[1:])
 
 
 FAR = 1e155  # (FAR - mean)**2 overflows, so FAR has zero density unless the mean is FAR
@@ -455,7 +588,7 @@ def test_long_sequence_posteriors_match_mpmath(form, long_sequence):
     with mock.patch.object(kernels, "TREE_FLOOR", floor):
         gamma, _, ll = kernels.pair_posteriors(*block)
     if form == "scaled":
-        assert kernels._scaled_posteriors(*block) is not None
+        assert every_pair_scaled(*block)
     # The log form's gamma = exp(la + lb - ll) cancels terms of about 3e4
     # nats, each rounded at eps, and lands about 2e-9 off; its likelihood
     # accumulates 10**4 roundings in log-sum-exp steps. The scaled form's

@@ -71,21 +71,28 @@ class TestBackwardForms:
     def test_guard_picks_the_form(self):
         # dense blocks of the benchmark shapes (fit-graph, fit-long) and one wide pair
         for shape in ((455, 5, 3), (12, 5, 16), (1, 5, 64)):
-            assert kernels._scaled_posteriors(*dense_block(*shape, seed=1)) is not None, shape
+            assert not kernels._scaled_posteriors(*dense_block(*shape, seed=1))[3].any(), shape
         # structural zeros of A and pi alone do not fail the guard
         log_pi, log_a, log_obs = dense_block(2, 6, 3, seed=2)
         log_pi[:, 1:] = -np.inf
         log_pi[:, 0] = 0.0
         log_a = _log(np.triu(np.exp(log_a)))
         log_a -= kernels.logsumexp(log_a, axis=2)[:, :, None]
-        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is not None
+        assert not kernels._scaled_posteriors(log_pi, log_a, log_obs)[3].any()
         # an initial state below the floor, a far-off pair, a pair at zero
-        # likelihood and the left-right chain fall back
+        # likelihood and the left-right chain fall back, each pair on its own:
+        # a block where every pair fails gives None
         tiny_pi = _log([[1.0 - np.exp(-700.0), np.exp(-700.0), 0.0]] * 2)
         assert kernels._scaled_posteriors(tiny_pi, log_a, log_obs) is None
-        assert kernels._scaled_posteriors(*far_off_block(2, 9, 3)) is None
+        assert kernels._scaled_posteriors(tiny_pi[:1], log_a[:1], log_obs[:1]) is None
+        np.testing.assert_array_equal(
+            kernels._scaled_posteriors(*far_off_block(2, 9, 3))[3], [True, False])
         log_obs[1, 3] = -np.inf
-        assert kernels._scaled_posteriors(log_pi, log_a, log_obs) is None
+        np.testing.assert_array_equal(
+            kernels._scaled_posteriors(log_pi, log_a, log_obs)[3], [False, True])
+        # pair 0 below the initial floor, pair 1 at zero likelihood
+        mixed_pi = np.stack([tiny_pi[0], log_pi[1]])
+        assert kernels._scaled_posteriors(mixed_pi, log_a, log_obs) is None
         assert kernels._scaled_posteriors(*(x[None] for x in left_right_chain())) is None
 
     def test_overflow_off_the_support_falls_back(self):
@@ -104,6 +111,13 @@ class TestBackwardForms:
         np.testing.assert_allclose(counts[0], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
                                    rtol=1e-12)
         assert block_ll[0] == ll
+        # beside a pair that passes, only the overflowing pair falls back
+        pair = (log_pi, log_a, np.full((1, 4, 3), -1.0))
+        block = tuple(np.concatenate([x, y]) for x, y in zip((log_pi, log_a, log_obs), pair))
+        np.testing.assert_array_equal(kernels._scaled_posteriors(*block)[3], [True, False])
+        gamma, _, block_ll = kernels.pair_posteriors(*block)
+        np.testing.assert_array_equal(gamma[0], np.exp(la + lb - ll))
+        assert block_ll[0] == ll and np.isfinite(block_ll[1])
 
     @pytest.mark.parametrize("b_count,s_count,matmul", [(455, 3, False), (12, 16, True)])
     def test_block_runs_the_chosen_form(self, b_count, s_count, matmul, monkeypatch):

@@ -394,6 +394,20 @@ class TestGradient:
         assert stats.eta_by_node is cached
         assert np.array_equal(cached, expected)
 
+    def test_node_count_column_cached_float_and_read_only(self):
+        # the gradient multiplies this column into alpha on every Adam step,
+        # instead of casting the integer node counts each time
+        rng = np.random.default_rng(16)
+        model = make_mixture(rng, k=4, m=2, s=2, d=1)
+        data = SequenceDataset([(node, rng.normal(size=(3, 1))) for node in (1, 3, 1, 2, 1)])
+        stats = mixture_posteriors(model, data)
+        column = stats.node_count_column
+        assert column.dtype == np.float64 and column.shape == (4, 1)
+        assert not column.flags.writeable
+        assert np.array_equal(column[:, 0], stats.node_counts)
+        assert column[:, 0].tolist() == [3.0, 1.0, 1.0, 0.0]
+        assert stats.node_count_column is column
+
     def test_requires_beta(self):
         rng = np.random.default_rng(12)
         comps = [random_hmm(rng, 2, 1)]

@@ -458,6 +458,36 @@ class TestInitialization:
         got = _kmeans(frames, 3, np.random.default_rng(0))
         assert np.array_equal(got, self.kmeans_oracle(frames, seeds))
         assert got[1, 0] == 2.25
+        # all-tied frames: every frame lies as far from centre 0 as from centre
+        # 1, so all go to centre 0, and centre 1 keeps its seed
+        frames = np.zeros((12, 2))
+        tied = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        monkeypatch.setattr(training, "_kmeans_plus_plus", lambda frames, k, rng: tied.copy())
+        got = _kmeans(frames, 3, np.random.default_rng(0))
+        assert np.array_equal(got, self.kmeans_oracle(frames, tied))
+        assert np.array_equal(got, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        monkeypatch.undo()
+        # thousands of frames and up to 20 centres; 256 and 257 centres, whose
+        # labels k - 1 take one and two bytes; D = 1 clusters of far more than
+        # 8 members, whose mean numpy sums pairwise, not row by row, on fine
+        # and on coarse values; and frames that are all one point
+        assert np.min_scalar_type(255) == np.uint8 and np.min_scalar_type(256) == np.uint16
+        for n, k, dim, max_iters in ((4000, 12, 3, 100), (3000, 20, 2, 100), (1500, 256, 2, 3),
+                                     (1500, 257, 2, 3), (3000, 4, 1, 100), (600, 5, 1, 100),
+                                     (40, 3, 2, 100)):
+            frames = rng.normal(size=(n, dim)) * rng.uniform(0.5, 50.0, size=dim)
+            if k == 5:
+                frames = np.round(frames, -1)
+            elif k == 3:
+                frames[:] = frames[0]
+            got = _kmeans(frames, k, np.random.default_rng(k), max_iters=max_iters)
+            seeds = _kmeans_plus_plus(frames, k, np.random.default_rng(k))
+            assert np.array_equal(got, self.kmeans_oracle(frames, seeds, max_iters=max_iters)), k
+            if dim == 1 and k == 4:
+                # summing these members row by row would move bits
+                labels = np.argmin((frames - got[:, 0]) ** 2, axis=1)
+                assert any(np.cumsum(frames[labels == j, 0])[-1] != frames[labels == j, 0].sum()
+                           for j in range(k))
 
     def test_too_few_frames(self):
         rng = np.random.default_rng(14)
