@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .hmm import GaussianHmm, _cdf, _chains, _draw, validate_sequence
+from .hmm import GaussianHmm, _cdf, _chains, _draw, check_count, validate_sequence
 from .mixture import SparseMixtureModel, _end_rows, _live_pairs, check_node
 
 
@@ -93,13 +93,11 @@ def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,
     state posterior would avoid the sampling noise; the sampled estimator is
     kept for now because it matches the evaluation protocol used downstream.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    horizon = check_count(horizon, "horizon")
+    num_samples = check_count(num_samples, "num_samples")
     post = condition(model, prefix, node)
     rng = np.random.default_rng(rng)
     z = _draw(_cdf(post.weights)[None, :], rng.random(num_samples))
     state = _draw(_cdf(post.conditional_initials)[z], rng.random(num_samples))
-    return np.array([emitted.mean(axis=0)
-                     for emitted in _chains(post.components, (z,), state, horizon, rng)])
+    emissions = _chains(post.components, z, state, horizon, rng)
+    return np.add.reduce(emissions, axis=1) / num_samples

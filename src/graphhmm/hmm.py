@@ -221,22 +221,41 @@ def _draw(cdf: np.ndarray, u) -> np.ndarray:
     one uniform draw from Generator.random() give the index that
     Generator.choice(len(row), p=row) gives on the same stream.
     """
-    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    return np.add.reduce(cdf <= np.asarray(u)[..., None], axis=-1)
 
 
-def _chains(hmm: GaussianHmm, lead: tuple, state: np.ndarray, length: int, rng):
-    """Yield the (n, D) emissions of n chains from state[i], one step at a time.
+def check_count(value, name: str) -> int:
+    """An integer >= 1 (not a bool) as int; else a ValueError naming it."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
-    lead indexes hmm's leading axes: () for a single HMM, (comp,) for a stack
-    whose component comp[i] chain i runs. Each step draws n uniforms for the
-    transitions, then n * D normals for the emissions.
+
+def _chains(hmm: GaussianHmm, comp, state: np.ndarray, length: int, rng) -> np.ndarray:
+    """The (length, n, D) emissions of n chains run from state[i].
+
+    comp[i] is the stack component that chain i runs, or 0 for a single HMM.
+    Each step draws n uniforms for the transitions, then n * D normals for
+    the emissions. The step loop draws only the states, held as flat
+    comp * S + state row indices, and the noise; means + std * noise is then
+    formed for all steps at once, the same operations on the same values as
+    forming each step's emissions in turn.
     """
-    transition_cdf = _cdf(hmm.transition)
-    std = np.sqrt(hmm.variances)
-    for _ in range(length):
-        state = _draw(transition_cdf[(*lead, state)], rng.random(state.size))
-        at = (*lead, state)
-        yield hmm.means[at] + std[at] * rng.standard_normal((state.size, hmm.dim))
+    s, n = hmm.num_states, state.size
+    rows = _cdf(hmm.transition).reshape(-1, s)
+    base = comp * s
+    states = np.empty((length, n), dtype=np.intp)
+    noise = np.empty((length, n, hmm.dim))
+    below = np.empty((n, s), dtype=bool)
+    flat = base + state
+    for t in range(length):
+        np.less_equal(rows.take(flat, axis=0), rng.random(n)[:, None], out=below)
+        flat = np.add.reduce(below, axis=-1, out=states[t])
+        flat += base
+        rng.standard_normal(out=noise[t])
+    noise *= np.sqrt(hmm.variances).reshape(-1, hmm.dim).take(states, axis=0)
+    noise += hmm.means.reshape(-1, hmm.dim).take(states, axis=0)
+    return noise
 
 
 def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
@@ -246,8 +265,7 @@ def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
     generator threads one stream through nested sampling calls.
     """
     _require_single(hmm)
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = check_count(length, "length")
     rng = np.random.default_rng(rng)
     state = _draw(_cdf(hmm.initial), rng.random(1))
-    return np.concatenate(list(_chains(hmm, (), state, length, rng)))
+    return _chains(hmm, 0, state, length, rng)[:, 0]

@@ -6,10 +6,10 @@ import pytest
 from graphhmm import kernels
 from graphhmm.forecast import (_cdf, _draw, condition, forecast_mean,
                                predictive_log_likelihood)
-from graphhmm.hmm import GaussianHmm, log_likelihood, posteriors
+from graphhmm.hmm import GaussianHmm, log_likelihood, posteriors, sample
 from graphhmm.mixture import (SequenceDataset, SparseMixtureModel,
                               mixture_log_likelihood, mixture_posteriors,
-                              reparameterize_rows)
+                              reparameterize_rows, sample_from_node)
 
 from conftest import enum_posteriors, random_hmm
 
@@ -308,3 +308,103 @@ class TestForecastMean:
             forecast_mean(model, prefix, 1, horizon=0, num_samples=10, rng=0)
         with pytest.raises(ValueError, match="num_samples"):
             forecast_mean(model, prefix, 1, horizon=2, num_samples=0, rng=0)
+
+    @pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, False, -1, "3", None])
+    def test_counts_must_be_integers(self, bad, monkeypatch):
+        rng = np.random.default_rng(14)
+        model = make_mixture(rng)
+        prefix = rng.normal(size=(2, 1))
+        ran = []
+        monkeypatch.setattr("graphhmm.forecast.condition", lambda *a: ran.append(a))
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+            forecast_mean(model, prefix, 1, horizon=bad, num_samples=10, rng=0)
+        with pytest.raises(ValueError, match="num_samples must be an integer >= 1"):
+            forecast_mean(model, prefix, 1, horizon=2, num_samples=bad, rng=0)
+        assert not ran  # checked before conditioning
+
+    def test_numpy_integer_counts_accepted(self):
+        rng = np.random.default_rng(14)
+        model = make_mixture(rng)
+        prefix = rng.normal(size=(2, 1))
+        np.testing.assert_array_equal(
+            forecast_mean(model, prefix, 1, np.int32(3), np.uint8(20), rng=4),
+            forecast_mean(model, prefix, 1, 3, 20, rng=4))
+
+
+def _reference_draw(cdf, u):
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+
+
+def _reference_chains(hmm, lead, state, length, rng):
+    """The sampler as a per-step generator: the stream order and bits to keep."""
+    transition_cdf = _cdf(hmm.transition)
+    std = np.sqrt(hmm.variances)
+    for _ in range(length):
+        state = _reference_draw(transition_cdf[(*lead, state)], rng.random(state.size))
+        at = (*lead, state)
+        yield hmm.means[at] + std[at] * rng.standard_normal((state.size, hmm.dim))
+
+
+def _reference_sample(hmm, length, rng):
+    rng = np.random.default_rng(rng)
+    state = _reference_draw(_cdf(hmm.initial), rng.random(1))
+    return np.concatenate(list(_reference_chains(hmm, (), state, length, rng)))
+
+
+def _reference_sample_from_node(model, node, length, rng):
+    rng = np.random.default_rng(rng)
+    z = int(_reference_draw(_cdf(model.alpha[node - 1]), rng.random()))
+    return _reference_sample(model.components[z], length, rng)
+
+
+def _reference_forecast(model, prefix, node, horizon, num_samples, rng):
+    post = condition(model, prefix, node)
+    rng = np.random.default_rng(rng)
+    z = _reference_draw(_cdf(post.weights)[None, :], rng.random(num_samples))
+    state = _reference_draw(_cdf(post.conditional_initials)[z], rng.random(num_samples))
+    return np.array([emitted.mean(axis=0) for emitted in
+                     _reference_chains(post.components, (z,), state, horizon, rng)])
+
+
+def _zeroed_mixture(rng, s, d):
+    """Three components with exact-zero transitions; the second is inert at node 1."""
+    comps = []
+    for _ in range(3):
+        transition = rng.dirichlet(np.ones(s), size=s)
+        keep = transition >= transition.max(axis=1, keepdims=True) * 0.6
+        transition = np.where(keep, transition, 0.0)
+        transition /= transition.sum(axis=1, keepdims=True)
+        comps.append(GaussianHmm(rng.dirichlet(np.ones(s)), transition,
+                                 rng.normal(0.0, 2.0, size=(s, d)),
+                                 rng.uniform(0.2, 2.0, size=(s, d))))
+    beta = rng.uniform(0.2, 1.5, size=(2, 3))
+    beta[0, 1] = -1.0
+    return SparseMixtureModel(comps, reparameterize_rows(beta), beta)
+
+
+class TestStreamOrder:
+    """The batched sampler keeps the per-step generator's draws and bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("s", [1, 3, 16])
+    def test_bit_identical_to_per_step_generator(self, s, d):
+        rng = np.random.default_rng(100 * s + d)
+        model = _zeroed_mixture(rng, s, d)
+        if s > 1:
+            assert np.any(model.components.transition == 0.0)
+        prefix = rng.normal(size=(4, d))
+        assert condition(model, prefix, 1).inert[1]
+        for seed, (num_samples, horizon) in enumerate(
+                [(n, h) for n in (1, 7, 8, 100) for h in (1, 10)]):
+            got = forecast_mean(model, prefix, 1, horizon, num_samples, seed)
+            want = _reference_forecast(model, prefix, 1, horizon, num_samples, seed)
+            assert got.shape == want.shape == (horizon, d)
+            assert got.tobytes() == want.tobytes(), (num_samples, horizon)
+        for length in (1, 10):
+            for node in (1, 2):
+                got = sample_from_node(model, node, length, length + node)
+                want = _reference_sample_from_node(model, node, length, length + node)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            got = sample(model.components[2], length, length)
+            want = _reference_sample(model.components[2], length, length)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

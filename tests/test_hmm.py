@@ -184,6 +184,11 @@ class TestSampling:
         draws = np.concatenate([sample(model, 1, rng) for _ in range(10_000)])
         assert 1.97 <= draws.mean() <= 2.03
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, 0, -2, "4"])
+    def test_length_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="length must be an integer >= 1"):
+            sample(standard_normal_hmm(), bad, 0)
+
     def test_generator_threading(self):
         model = standard_normal_hmm()
         rng1 = np.random.default_rng(9)
