@@ -25,8 +25,6 @@ set is scored instead (useful only for smoke runs, and flagged as such).
 
 import argparse
 import itertools
-import json
-import math
 import sys
 
 import numpy as np
@@ -36,29 +34,13 @@ from graphhmm.evaluation import relative_sparsity, score_dataset
 from graphhmm.training import InitSpec, TrainConfig, fit
 
 KNOBS = ("num_components", "num_states", "lam", "outer_iters", "inner_iters",
-         "learning_rate", "rng_seed")
+         "learning_rate", "rng_seed")  # InitSpec's two, then TrainConfig's
 DEFAULTS = {"lam": 0.0, "outer_iters": 50, "inner_iters": 100,
             "learning_rate": 0.01, "rng_seed": 0}
-INT_KNOBS = {"num_components", "num_states", "outer_iters", "inner_iters",
-             "rng_seed"}
-
-
-def _knob_value(path, key, value):
-    """One grid value under the rules io applies to every input file.
-
-    Only JSON numbers are accepted: strings, booleans and null are refused,
-    and an integer knob takes a JSON integer (not 2.9, not 2.0).
-    """
-    if key in INT_KNOBS:
-        if type(value) is not int:
-            raise ValueError(f"{path}: {key} must be a JSON integer, got {json.dumps(value)}")
-        return value
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{path}: {key} must be a finite JSON number, got {json.dumps(value)}")
-    return float(value)
 
 
 def load_grid(path):
+    """Every grid point, each checked by TrainConfig and InitSpec before any fit."""
     grid = io.read_json(path)
     if not isinstance(grid, dict):
         raise ValueError(f"{path}: grid file must be a JSON object")
@@ -66,9 +48,6 @@ def load_grid(path):
     if unknown:
         raise ValueError(f"{path}: unknown grid keys {unknown}; "
                          f"allowed: {sorted(KNOBS)}")
-    for key in ("num_components", "num_states"):
-        if key not in grid:
-            raise ValueError(f"{path}: grid must set {key}")
     axes = []
     for key in KNOBS:
         values = grid.get(key, DEFAULTS.get(key))
@@ -76,8 +55,12 @@ def load_grid(path):
             values = [values]
         if not values:
             raise ValueError(f"{path}: {key} must not be an empty list")
-        axes.append([_knob_value(path, key, v) for v in values])
-    return [dict(zip(KNOBS, combo)) for combo in itertools.product(*axes)]
+        axes.append(values)
+    try:
+        return [(TrainConfig(**dict(zip(KNOBS[2:], combo[2:]))), InitSpec(*combo[:2]))
+                for combo in itertools.product(*axes)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def mean_score(model, dataset):
@@ -86,24 +69,21 @@ def mean_score(model, dataset):
 
 
 def run_sweep(combos, train, val, graph, out_path):
-    if graph is None and any(knobs["lam"] > 0.0 for knobs in combos):
+    """Fit and score each (TrainConfig, InitSpec) pair from load_grid."""
+    if graph is None and any(config.lam > 0.0 for config, _ in combos):
         raise ValueError("grid contains lam > 0 but no --graph was given")
     rows = []
-    for i, knobs in enumerate(combos, start=1):
-        config = TrainConfig(lam=knobs["lam"], outer_iters=knobs["outer_iters"],
-                             inner_iters=knobs["inner_iters"],
-                             learning_rate=knobs["learning_rate"],
-                             rng_seed=knobs["rng_seed"])
-        init = InitSpec(knobs["num_components"], knobs["num_states"])
-        result = fit(train, graph if knobs["lam"] > 0.0 else None, config, init)
-        row = dict(knobs)
+    for i, (config, init) in enumerate(combos, start=1):
+        result = fit(train, graph if config.lam > 0.0 else None, config, init)
+        checked = {**vars(init), **vars(config)}
+        row = {key: checked[key] for key in KNOBS}
         row["mode"] = result.mode
         row["sparsity"] = relative_sparsity(result.model)
         row["mean_avg_ll"] = mean_score(result.model, val)
         rows.append(row)
-        print(f"[{i}/{len(combos)}] M={knobs['num_components']} "
-              f"S={knobs['num_states']} lam={knobs['lam']} "
-              f"seed={knobs['rng_seed']}: mean_avg_ll={row['mean_avg_ll']:.4f} "
+        print(f"[{i}/{len(combos)}] M={row['num_components']} "
+              f"S={row['num_states']} lam={row['lam']} "
+              f"seed={row['rng_seed']}: mean_avg_ll={row['mean_avg_ll']:.4f} "
               f"sparsity={row['sparsity']:.3f}")
     fields = list(KNOBS) + ["mode", "sparsity", "mean_avg_ll"]
     io.save_csv(out_path, fields, [[row[f] for f in fields] for row in rows])

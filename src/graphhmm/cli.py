@@ -15,6 +15,7 @@ import numpy as np
 from . import io
 from .evaluation import cluster_assignments, relative_sparsity, roc_auc, score_dataset
 from .forecast import forecast_mean
+from .hmm import check_count
 from .mixture import SequenceDataset, check_dim, sample_from_node
 from .training import InitSpec, TrainConfig, fit
 
@@ -23,26 +24,29 @@ def _env_name(flag: str) -> str:
     return "GRAPHHMM_" + flag.lstrip("-").upper().replace("-", "_")
 
 
+_SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _add(parser, flag, *, required=False, type=str, default=None, help="",
          choices=None, flag_only=False, dest=None):
-    """add_argument with an environment-variable fallback for the default."""
+    """add_argument with an environment-variable default; a bad one exits 2 naming it."""
     env_key = _env_name(flag)
     raw = os.environ.get(env_key)
     extra = {} if dest is None else {"dest": dest}
-    if flag_only:
-        if raw is not None:
-            default = raw.strip().lower() in {"1", "true", "yes"}
-        parser.add_argument(flag, action="store_true", default=bool(default),
-                            help=f"{help} [env: {env_key}]", **extra)
-        return
-    if raw is not None:
+    if raw is not None and (raw.strip() or not flag_only):  # an empty switch is unset
         try:
-            default = type(raw)
-        except (TypeError, ValueError):
+            default = _SWITCHES[raw.strip().lower()] if flag_only else type(raw)
+            if choices is not None and default not in choices:
+                raise ValueError(default)
+        except (KeyError, TypeError, ValueError):
             print(f"error: environment variable {env_key}={raw!r} is not a valid "
                   f"value for {flag}", file=sys.stderr)
             raise SystemExit(2)
         required = False
+    if flag_only:
+        parser.add_argument(flag, action="store_true", default=bool(default),
+                            help=f"{help} [env: {env_key}]", **extra)
+        return
     shown = "" if default is None else f" (default: {default})"
     parser.add_argument(flag, required=required, type=type, default=default,
                         choices=choices, help=f"{help}{shown} [env: {env_key}]", **extra)
@@ -64,11 +68,11 @@ def _cmd_train(args) -> int:
     result = fit(dataset, graph, config, init)
     metadata = {
         "mode": result.mode,
-        "lambda": float(args.lam),
-        "seed": int(args.seed),
-        "outer_iters": int(args.outer_iters),
-        "inner_iters": int(args.inner_iters),
-        "learning_rate": float(args.lr),
+        "lambda": config.lam,
+        "seed": config.rng_seed,
+        "outer_iters": config.outer_iters,
+        "inner_iters": config.inner_iters,
+        "learning_rate": config.learning_rate,
         "objective_trace": [float(v) for v in result.objectives],
         "standardization": stats,
     }
@@ -177,9 +181,9 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    check_count(args.num_seqs, "--num-seqs")
+    check_count(args.length, "--length")
     model, _ = io.load_model(args.spec)
-    if args.num_seqs < 1 or args.length < 1:
-        raise ValueError("--num-seqs and --length must be >= 1")
     rng = np.random.default_rng(args.seed)
     items = []
     for node in range(1, model.num_nodes + 1):

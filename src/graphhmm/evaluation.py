@@ -5,6 +5,7 @@ from typing import Optional
 
 import numpy as np
 
+from .hmm import check_real
 from .mixture import SequenceDataset, SparseMixtureModel, mixture_log_likelihoods
 
 NORMAL = "normal"
@@ -83,8 +84,7 @@ def relative_sparsity(model: SparseMixtureModel, threshold: float = 0.0) -> floa
     training mode produces; for closed-form-trained models pass a small
     threshold (e.g. 1e-6) and report it as the thresholded variant.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    threshold = check_real(threshold, "threshold")
     return float(np.count_nonzero(model.alpha <= threshold) / model.alpha.size)
 
 

@@ -7,6 +7,8 @@ log space, so long sequences cannot underflow. A GaussianHmm may also hold
 a stack of equally shaped HMMs; inference and sampling take a single one.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,11 +226,24 @@ def _draw(cdf: np.ndarray, u) -> np.ndarray:
     return np.add.reduce(cdf <= np.asarray(u)[..., None], axis=-1)
 
 
-def check_count(value, name: str) -> int:
-    """An integer >= 1 (not a bool) as int; else a ValueError naming it."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value, name: str, minimum=1, what: str = "an integer") -> int:
+    """The one integer rule: an int or numpy integer, not bool, >= minimum, as int.
+
+    minimum is 1 for counts, 0 for seeds and None to test the type only; a
+    ValueError reads "<name> must be <what> >= <minimum>, got <value>"."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str, positive: bool = False) -> float:
+    """check_count's twin for settings: a finite real, not bool, >= 0 (> 0 if positive)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return float(value)
 
 
 def _chains(hmm: GaussianHmm, comp, state: np.ndarray, length: int, rng) -> np.ndarray:

@@ -21,8 +21,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .hmm import (GaussianHmm, _cdf, _draw, check_rows_normalized, gaussian_log_densities,
-                  sample, validate_sequence)
+from .hmm import (GaussianHmm, _cdf, _draw, check_count, check_rows_normalized,
+                  gaussian_log_densities, sample, validate_sequence)
 
 # Live pairs per block: one recursion step then covers about BLOCK_CELLS
 # (pair, state, state) cells, whatever the state count.
@@ -71,14 +71,13 @@ class SequenceItem(NamedTuple):
 
 def check_record(node, seq, label=None, dim: int = None) -> SequenceItem:
     """One checked dataset record (dim: that of earlier records); callers prefix errors."""
-    if not isinstance(node, (int, np.integer)) or isinstance(node, bool) or node < 1:
-        raise ValueError(f"'node' must be an integer >= 1, got {node!r}")
+    node = check_count(node, "'node'")
     if label is not None and label not in ("normal", "anomalous"):
         raise ValueError(f"'label' must be 'normal' or 'anomalous', got {label!r}")
     seq = validate_sequence(seq)
     if dim is not None and seq.shape[1] != dim:
         raise ValueError(f"dimension {seq.shape[1]} differs from earlier records ({dim})")
-    return SequenceItem(int(node), seq, label)
+    return SequenceItem(node, seq, label)
 
 
 class RecordError(ValueError):
@@ -254,11 +253,10 @@ class MixtureSufficientStats:
 
 
 def check_node(model: SparseMixtureModel, node: int) -> int:
-    if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
-        raise ValueError(f"node id must be an integer, got {node!r}")
-    if node < 1 or node > model.num_nodes:
+    node = check_count(node, "node id", minimum=None)
+    if not 1 <= node <= model.num_nodes:
         raise ValueError(f"node id {node} out of range [1..{model.num_nodes}]")
-    return int(node)
+    return node
 
 
 def pair_log_densities(components: GaussianHmm, seqs: list, seq: np.ndarray,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .hmm import VARIANCE_FLOOR, GaussianHmm
+from .hmm import VARIANCE_FLOOR, GaussianHmm, check_count, check_real
 from .mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
                       SparseMixtureModel, coefficient_gradient, mixture_log_likelihoods,
                       mixture_posteriors, regularizer_value, reparameterize_rows)
@@ -36,6 +36,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # A relative objective improvement below this counts toward the plateau.
 PLATEAU_TOL = 1e-6
+_ITERATIONS = "an integer iteration count"
 
 
 @dataclass
@@ -45,7 +46,9 @@ class TrainConfig:
     lam is the regularization strength; outer_iters caps EM iterations and
     inner_iters the per-M-step Adam iterations on the scores. Training stops
     early once the relative objective improvement stays below PLATEAU_TOL
-    for plateau_patience consecutive iterations.
+    for plateau_patience consecutive iterations. hmm.check_count and
+    check_real check each field: lam finite >= 0, learning_rate finite > 0,
+    rng_seed an integer >= 0, the counts integers >= 1; all kept as int or float.
     """
 
     lam: float = 0.0
@@ -56,31 +59,30 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.lam < np.inf):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.outer_iters < 1 or self.inner_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if not (0 < self.learning_rate < np.inf):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.plateau_patience < 1:
-            raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
+        self.lam = check_real(self.lam, "lam")
+        self.outer_iters = check_count(self.outer_iters, "outer_iters", what=_ITERATIONS)
+        self.inner_iters = check_count(self.inner_iters, "inner_iters", what=_ITERATIONS)
+        self.learning_rate = check_real(self.learning_rate, "learning_rate", positive=True)
+        self.plateau_patience = check_count(self.plateau_patience, "plateau_patience")
+        self.rng_seed = check_count(self.rng_seed, "rng_seed", minimum=0)
 
 
 @dataclass
 class InitSpec:
     """Model shape for a fresh fit: component count, states per component,
     and (optionally) the node count, which otherwise comes from the graph
-    or from the largest node id in the data."""
+    or from the largest node id in the data. Each is a count for
+    hmm.check_count, kept as int."""
 
     num_components: int
     num_states: int
     num_nodes: int = None
 
     def __post_init__(self):
-        if self.num_components < 1 or self.num_states < 1:
-            raise ValueError("num_components and num_states must be >= 1")
-        if self.num_nodes is not None and self.num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
+        self.num_components = check_count(self.num_components, "num_components")
+        self.num_states = check_count(self.num_states, "num_states")
+        if self.num_nodes is not None:
+            self.num_nodes = check_count(self.num_nodes, "num_nodes")
 
 
 @dataclass
@@ -502,8 +504,8 @@ def fit_single_hmm(dataset: SequenceDataset, config: TrainConfig, num_states: in
                    num_nodes: int = None) -> FitResult:
     """Pooled baseline: one HMM for all nodes, exposed as a mixture whose
     every node row is the one-hot on that single component."""
+    k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
     pooled = SequenceDataset([(1, item.seq, item.label) for item in dataset.items])
-    k = num_nodes if num_nodes is not None else dataset.max_node
     result = fit(pooled, None, config, InitSpec(1, num_states, 1))
     single = result.model.components[0]
     model = SparseMixtureModel([single], np.ones((k, 1)))
@@ -515,7 +517,7 @@ def fit_per_node(dataset: SequenceDataset, config: TrainConfig, num_states: int,
                  num_nodes: int = None) -> FitResult:
     """Per-node baseline: an independent HMM per node, exposed as a mixture
     with identity mixing (node k always uses component k)."""
-    k = num_nodes if num_nodes is not None else dataset.max_node
+    k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
     components = []
     objectives = []
     warnings = []

@@ -12,7 +12,7 @@ import pytest
 
 import graphhmm
 from graphhmm import io
-from graphhmm.cli import main
+from graphhmm.cli import build_parser, main
 from graphhmm.evaluation import score_dataset
 from graphhmm.forecast import forecast_mean
 from graphhmm.hmm import GaussianHmm
@@ -510,3 +510,32 @@ class TestExitCodesAndEnv:
             main(["forecast", "--model", "x", "--prefix-file", "y", "--out", "z"])
         assert exc.value.code == 2
         assert "GRAPHHMM_HORIZON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("var, value", [("GRAPHHMM_STANDARDIZE", "on"),
+                                            ("GRAPHHMM_NORMALIZE_GRAPH", "off"),
+                                            ("GRAPHHMM_PER_NODE", "2"),
+                                            ("GRAPHHMM_LABEL", "weird"),
+                                            ("GRAPHHMM_LABEL", "Normal")])
+    def test_env_bad_switch_or_choice_is_two(self, monkeypatch, capsys, var, value):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--model", "x", "--out", "y"])
+        assert exc.value.code == 2
+        assert f"environment variable {var}={value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected", [("1", True), ("TRUE", True), (" yes ", True),
+                                                 ("0", False), ("False", False), ("no", False),
+                                                 ("", False)])
+    def test_env_switch_spellings(self, monkeypatch, value, expected):
+        monkeypatch.setenv("GRAPHHMM_STANDARDIZE", value)
+        args = build_parser().parse_args(["train", "--data", "d", "--components", "1",
+                                          "--states", "1", "--out", "m"])
+        assert args.standardize is expected
+
+    def test_env_choice_supplies_value(self, tmp_path, monkeypatch):
+        spec, out = tmp_path / "spec.json", tmp_path / "d.jsonl"
+        write_spec_model(spec, [[1.0]], [0.0])
+        monkeypatch.setenv("GRAPHHMM_LABEL", "anomalous")
+        assert main(["generate", "--spec", str(spec), "--num-seqs", "1", "--length", "2",
+                     "--out", str(out)]) == 0
+        assert [item.label for item in io.load_dataset(str(out)).items] == ["anomalous"]
