@@ -19,8 +19,10 @@ is trained and scored on a validation set. Example grid:
 
 Each row of the CSV records the knob values, the training mode, the final
 coefficient sparsity, and the mean per-timestep held-out log-likelihood;
-the best row by that metric is printed last. Without --val the training
-set is scored instead (useful only for smoke runs, and flagged as such).
+the best row by that metric is printed last. Each training warning goes to
+stderr as "warning: [i/n] <message>" for the i-th of n fits. Without --val
+the training set is scored instead (useful only for smoke runs, and flagged
+as such).
 """
 
 import argparse
@@ -75,6 +77,8 @@ def run_sweep(combos, train, val, graph, out_path):
     rows = []
     for i, (config, init) in enumerate(combos, start=1):
         result = fit(train, graph if config.lam > 0.0 else None, config, init)
+        for msg in result.warnings:
+            print(f"warning: [{i}/{len(combos)}] {msg}", file=sys.stderr)
         checked = {**vars(init), **vars(config)}
         row = {key: checked[key] for key in KNOBS}
         row["mode"] = result.mode

@@ -20,14 +20,14 @@ from .mixture import (AffinityGraph, MixtureSufficientStats, PairBlock, Sequence
                       SequenceItem, SparseMixtureModel, coefficient_gradient,
                       mixture_log_likelihood, mixture_log_likelihoods, mixture_posteriors,
                       regularizer_value, reparameterize_rows, sample_from_node)
-from .training import (AdamState, FitResult, InitSpec, TrainConfig,
+from .training import (AdamState, EmStep, FitResult, InitSpec, TrainConfig,
                        baseline_state_counts, em_step_mhmm, em_step_spamhmm, fit,
                        fit_per_node, fit_single_hmm, initialize_model)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "AffinityGraph", "FitResult", "GaussianHmm", "InitSpec",
+    "AdamState", "AffinityGraph", "EmStep", "FitResult", "GaussianHmm", "InitSpec",
     "MixtureSufficientStats", "PairBlock", "PosteriorModel", "ScoredSequence",
     "SequenceDataset", "SequenceItem", "SparseMixtureModel", "StatePosteriors", "TrainConfig",
     "VARIANCE_FLOOR", "baseline_state_counts", "cluster_assignments",

@@ -239,9 +239,15 @@ def check_count(value, name: str, minimum=1, what: str = "an integer") -> int:
 
 
 def check_real(value, name: str, positive: bool = False) -> float:
-    """check_count's twin for settings: a finite real, not bool, >= 0 (> 0 if positive)."""
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+    """check_count's twin for settings: a finite real, not bool, >= 0 (> 0 if positive).
+
+    An int beyond float range counts as not finite."""
+    try:
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:
+        finite = False
+    if not finite or value < 0 or (positive and value == 0):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
     return float(value)
 

@@ -10,14 +10,16 @@ Two modes share one E-step and one component re-estimation routine:
   nodes and the rectifier produces exact zeros, so the learned rows are
   sparse.
 
-Both step functions return the objective evaluated at the parameters they
-were given (before the update): total data log-likelihood in plain mode, and
-mean data log-likelihood plus the weighted graph term in regularized mode.
+Both step functions return an EmStep: the updated model, the step's warnings,
+and the objective at the parameters they were given (before the update):
+total data log-likelihood in plain mode, and mean data log-likelihood plus
+the weighted graph term in regularized mode. Nothing here logs.
 """
 
-import logging
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +28,6 @@ from .hmm import VARIANCE_FLOOR, GaussianHmm, check_count, check_real
 from .mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
                       SparseMixtureModel, coefficient_gradient, mixture_log_likelihoods,
                       mixture_posteriors, regularizer_value, reparameterize_rows)
-
-logger = logging.getLogger(__name__)
 
 RESPONSIBILITY_EPS = 1e-12
 # Adam's moment decay rates and denominator guard on the score updates.
@@ -132,24 +132,16 @@ def adam_ascent_step(state: AdamState, grad: np.ndarray, config: TrainConfig) ->
     return m_hat
 
 
-def _warn(warnings: list, msg: str) -> None:
-    """Report msg once: into the caller's list when one is given, else to the logger."""
-    if warnings is None:
-        logger.warning(msg)
-    else:
-        warnings.append(msg)
-
-
 def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
-                           stats: MixtureSufficientStats, warnings: list = None) -> GaussianHmm:
+                           stats: MixtureSufficientStats, warnings: list) -> GaussianHmm:
     """Closed-form updates of initial/transition/means/variances, as one stack.
 
     The eta-weighted sums run over the E-step's blocks of live pairs, one
     array expression per block. A component whose total responsibility is
     below RESPONSIBILITY_EPS keeps all its parameters; within a live
     component, a state whose occupancy denominator is that small keeps its
-    row. Variances are floored after the update. Variance updates use the
-    freshly updated means.
+    row; each such case appends a message to warnings. Variances are floored
+    after the update. Variance updates use the freshly updated means.
     """
     m_count = model.num_components
     s_count, dim = model.num_states, model.dim
@@ -196,15 +188,15 @@ def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
     variances = np.maximum(variances, VARIANCE_FLOOR)
     for m in np.flatnonzero(~live_comp | dead_rows.any(axis=1) | dead_states.any(axis=1)):
         if not live_comp[m]:
-            _warn(warnings, f"component {m + 1}: total responsibility below "
+            warnings.append(f"component {m + 1}: total responsibility below "
                             f"{RESPONSIBILITY_EPS:g}, parameters left unchanged")
             continue
         if dead_rows[m].any():
-            _warn(warnings, f"component {m + 1}: transition rows "
+            warnings.append(f"component {m + 1}: transition rows "
                             f"{np.flatnonzero(dead_rows[m]) + 1} have near-zero occupancy, "
                             f"left unchanged")
         if dead_states[m].any():
-            _warn(warnings, f"component {m + 1}: emission states "
+            warnings.append(f"component {m + 1}: emission states "
                             f"{np.flatnonzero(dead_states[m]) + 1} have near-zero occupancy, "
                             f"left unchanged")
     return GaussianHmm(initial, transition, means, variances)
@@ -245,32 +237,40 @@ def _objective(lls: np.ndarray, alpha: np.ndarray, graph: AffinityGraph, lam: fl
     return float(np.mean(lls) + lam * regularizer_value(alpha, graph))
 
 
-def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset,
-                 warnings: list = None):
+class EmStep(NamedTuple):
+    """One EM iteration: the updated model, the objective under the parameters
+    the step was given, and the step's warnings in the order they were raised."""
+
+    model: SparseMixtureModel
+    objective: float
+    warnings: list
+
+
+def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset) -> EmStep:
     """One EM iteration with the closed-form coefficient update.
 
-    Returns (updated model, total data log-likelihood under the parameters
-    passed in). Nodes with no sequences keep their mixing row.
+    The step's objective is the total data log-likelihood under the
+    parameters passed in. Nodes with no sequences keep their mixing row.
     """
     stats = mixture_posteriors(model, dataset)
     objective = _objective(stats.log_likelihoods, model.alpha, None, 0.0)
     alpha = model.alpha.copy()
     has_data = stats.node_counts > 0
     alpha[has_data] = stats.eta_by_node[has_data] / stats.node_counts[has_data, None]
-    for k in np.flatnonzero(~has_data):
-        _warn(warnings, f"node {k + 1}: no training sequences, mixing row left unchanged")
+    warnings = [f"node {k + 1}: no training sequences, mixing row left unchanged"
+                for k in np.flatnonzero(~has_data)]
     components = _reestimate_components(model, dataset, stats, warnings)
-    return SparseMixtureModel(components, alpha, beta=None), objective
+    return EmStep(SparseMixtureModel(components, alpha, beta=None), objective, warnings)
 
 
 def _update_scores(model: SparseMixtureModel, stats: MixtureSufficientStats,
                    graph: AffinityGraph, config: TrainConfig, adam: AdamState,
-                   warnings: list = None):
+                   warnings: list):
     """Inner ascent loop on the scores with frozen responsibilities.
 
     The graph term is re-evaluated at the live coefficients on every
     iteration. A row whose entries all fall to or below zero is reset to a
-    uniform positive value and its Adam moments are cleared.
+    uniform positive value, its Adam moments are cleared and warnings gets a message.
     """
     beta = model.beta.copy()
     alpha = model.alpha.copy()
@@ -282,7 +282,7 @@ def _update_scores(model: SparseMixtureModel, stats: MixtureSufficientStats,
         if dead.any():
             beta[dead] = 0.1
             adam.reset_rows(dead)
-            _warn(warnings, f"nodes {np.flatnonzero(dead) + 1}: all scores fell to zero, "
+            warnings.append(f"nodes {np.flatnonzero(dead) + 1}: all scores fell to zero, "
                             f"rows reset to uniform")
         alpha = reparameterize_rows(beta)
     return alpha, beta
@@ -290,13 +290,13 @@ def _update_scores(model: SparseMixtureModel, stats: MixtureSufficientStats,
 
 def em_step_spamhmm(model: SparseMixtureModel, dataset: SequenceDataset,
                     graph: AffinityGraph, config: TrainConfig,
-                    adam: AdamState = None, warnings: list = None):
+                    adam: AdamState = None) -> EmStep:
     """One EM iteration with the gradient-based coefficient update.
 
-    Returns (updated model, penalized objective under the parameters passed
-    in): mean data log-likelihood plus lam times the graph term. Passing the
-    same AdamState across calls keeps the score moments warm, which is what
-    fit() does.
+    The step's objective is the penalized objective under the parameters
+    passed in: mean data log-likelihood plus lam times the graph term.
+    Passing the same AdamState across calls keeps the score moments warm,
+    which is what fit() does.
     """
     if model.beta is None:
         raise ValueError("regularized step requires a model with scores (beta)")
@@ -311,9 +311,10 @@ def em_step_spamhmm(model: SparseMixtureModel, dataset: SequenceDataset,
                          f"v {adam.v.shape}; the scores (beta) have shape {model.beta.shape}")
     stats = mixture_posteriors(model, dataset)
     objective = _objective(stats.log_likelihoods, model.alpha, graph, config.lam)
+    warnings = []
     alpha, beta = _update_scores(model, stats, graph, config, adam, warnings)
     components = _reestimate_components(model, dataset, stats, warnings)
-    return SparseMixtureModel(components, alpha, beta), objective
+    return EmStep(SparseMixtureModel(components, alpha, beta), objective, warnings)
 
 
 def _kmeans_plus_plus(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -436,7 +437,8 @@ def initialize_model(dataset: SequenceDataset, num_nodes: int, num_components: i
 class FitResult:
     """Final model plus the objective trace (one value per EM iteration,
     evaluated before that iteration's update, with the final model's
-    objective appended) and any warnings raised along the way."""
+    objective appended) and every step's warnings, in order. fit_per_node's
+    objectives hold one such trace per node instead."""
 
     model: SparseMixtureModel
     objectives: list
@@ -463,29 +465,28 @@ def fit(dataset: SequenceDataset, graph: AffinityGraph, config: TrainConfig,
     if dataset.max_node > num_nodes:
         raise ValueError(
             f"dataset contains node id {dataset.max_node} but only {num_nodes} nodes declared")
-    mode = "spamhmm" if (graph is not None and config.lam > 0) else "mhmm"
+    regularized = graph is not None and config.lam > 0
+    graph = graph if regularized else None
     model = initialize_model(dataset, num_nodes, init.num_components, init.num_states,
-                             config.rng_seed, with_scores=(mode == "spamhmm"))
-    adam = AdamState.zeros(model.alpha.shape) if mode == "spamhmm" else None
-    warnings = []
-    objectives = []
-    plateau_run = 0
-    prev = None
+                             config.rng_seed, with_scores=regularized)
+    em_step = em_step_mhmm
+    if regularized:
+        em_step = functools.partial(em_step_spamhmm, graph=graph, config=config,
+                                    adam=AdamState.zeros(model.alpha.shape))
+    warnings, objectives, plateau_run = [], [], 0
     for _ in range(config.outer_iters):
-        if mode == "spamhmm":
-            model, objective = em_step_spamhmm(model, dataset, graph, config, adam, warnings)
-        else:
-            model, objective = em_step_mhmm(model, dataset, warnings)
-        objectives.append(objective)
-        if prev is not None:
-            rel = (objective - prev) / max(abs(prev), RESPONSIBILITY_EPS)
+        step = em_step(model, dataset)
+        model = step.model
+        objectives.append(step.objective)
+        warnings.extend(step.warnings)
+        if len(objectives) > 1:
+            rel = (objectives[-1] - objectives[-2]) / max(abs(objectives[-2]), RESPONSIBILITY_EPS)
             plateau_run = plateau_run + 1 if rel < PLATEAU_TOL else 0
-        prev = objective
         if plateau_run >= config.plateau_patience:
             break
     objectives.append(_objective(mixture_log_likelihoods(model, dataset), model.alpha,
-                                 graph if mode == "spamhmm" else None, config.lam))
-    return FitResult(model=model, objectives=objectives, mode=mode, warnings=warnings)
+                                 graph, config.lam))
+    return FitResult(model, objectives, "spamhmm" if regularized else "mhmm", warnings)
 
 
 def baseline_state_counts(num_components: int, num_states: int, num_nodes: int):
@@ -509,8 +510,7 @@ def fit_single_hmm(dataset: SequenceDataset, config: TrainConfig, num_states: in
     result = fit(pooled, None, config, InitSpec(1, num_states, 1))
     single = result.model.components[0]
     model = SparseMixtureModel([single], np.ones((k, 1)))
-    return FitResult(model=model, objectives=result.objectives, mode=result.mode,
-                     warnings=result.warnings)
+    return replace(result, model=model)
 
 
 def fit_per_node(dataset: SequenceDataset, config: TrainConfig, num_states: int,
@@ -518,9 +518,7 @@ def fit_per_node(dataset: SequenceDataset, config: TrainConfig, num_states: int,
     """Per-node baseline: an independent HMM per node, exposed as a mixture
     with identity mixing (node k always uses component k)."""
     k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
-    components = []
-    objectives = []
-    warnings = []
+    components, objectives, warnings = [], [], []
     for node in range(1, k + 1):
         sub_items = [(1, item.seq, item.label) for item in dataset.items if item.node == node]
         if not sub_items:

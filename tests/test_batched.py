@@ -204,8 +204,9 @@ def test_mhmm_step_matches_per_pair(seed, block_sizes):
     model, data = make_case(seed)
     model = SparseMixtureModel(model.components, model.alpha)
     eta, ll, posts = per_pair_estep(model, data)
-    updated, objective = em_step_mhmm(model, data)
-    np.testing.assert_allclose(objective, ll.sum(), rtol=0, atol=ATOL)
+    step = em_step_mhmm(model, data)
+    updated = step.model
+    np.testing.assert_allclose(step.objective, ll.sum(), rtol=0, atol=ATOL)
     assert_components_close(updated.components, per_pair_mstep(model, data, eta, posts))
     np.testing.assert_array_equal(updated.alpha[3], model.alpha[3])
 
@@ -219,12 +220,12 @@ def test_spamhmm_step_matches_per_pair(seed, block_sizes):
                                     [0.0, 0.2, 1.0, 0.0]]))
     config = TrainConfig(lam=0.4, inner_iters=5, learning_rate=0.05)
     eta, ll, posts = per_pair_estep(model, data)
-    updated, _ = em_step_spamhmm(model, data, graph, config, AdamState.zeros(model.beta.shape))
+    updated = em_step_spamhmm(model, data, graph, config, AdamState.zeros(model.beta.shape)).model
     nodes = np.array([it.node for it in data.items])
     reference = MixtureSufficientStats(node_counts=np.bincount(nodes - 1, minlength=4), eta=eta,
                                        blocks=[], nodes=nodes, log_likelihoods=ll)
     alpha, beta = _update_scores(model, reference, graph, config,
-                                 AdamState.zeros(model.beta.shape))
+                                 AdamState.zeros(model.beta.shape), [])
     np.testing.assert_allclose(updated.alpha, alpha, rtol=0, atol=ATOL)
     np.testing.assert_allclose(updated.beta, beta, rtol=0, atol=ATOL)
     assert_components_close(updated.components, per_pair_mstep(model, data, eta, posts))

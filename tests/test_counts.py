@@ -76,6 +76,14 @@ def test_bad_real_is_refused_by_name(name, call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("name, call", REALS, ids=[n for n, _ in REALS])
+def test_real_beyond_float_range_is_refused_by_name(name, call, sign):
+    # math.isfinite raises OverflowError on such an int; it counts as not finite
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >"):
+        call(sign * 10**400)
+
+
 @pytest.mark.parametrize("name, call", COUNTS, ids=[f"{n}-{i}" for i, (n, _) in enumerate(COUNTS)])
 def test_numpy_integer_count_accepted(name, call):
     call(np.int64(2))
@@ -152,6 +160,21 @@ def test_grid_refuses_a_bad_second_value_before_any_fit(grid_sweep, train_path, 
     out, err = capsys.readouterr()
     assert err.startswith(f"error: {grid_path}: {key} must be"), err
     assert "[1/" not in out
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["lam", "learning_rate"])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+def test_grid_refuses_a_real_beyond_float_range(grid_sweep, train_path, tmp_path, capsys,
+                                                monkeypatch, key, sign):
+    monkeypatch.setattr(grid_sweep, "fit", lambda *a: pytest.fail("fit ran"))
+    grid_path = tmp_path / "grid.json"
+    knobs = json.dumps({k: v for k, v in VALID_KNOBS.items() if k != key})
+    grid_path.write_text(f'{knobs[:-1]}, "{key}": {sign}1{"0" * 400}}}', encoding="utf-8")
+    rc = grid_sweep.main(["--train", train_path, "--grid", str(grid_path),
+                          "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {grid_path}: {key} must be finite")
     assert not (tmp_path / "r.csv").exists()
 
 

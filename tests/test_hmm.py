@@ -163,7 +163,7 @@ class TestPosteriors:
             assert np.all(post.xi[:, zero] == 0.0)
             assert np.all(post.gamma[0, 1:] == 0.0)
         mixture = SparseMixtureModel([model], [[1.0]])
-        updated, _ = em_step_mhmm(mixture, SequenceDataset([(1, seq) for seq in seqs]))
+        updated = em_step_mhmm(mixture, SequenceDataset([(1, seq) for seq in seqs])).model
         new_transition = updated.components[0].transition
         assert np.all(new_transition[zero] == 0.0)
         assert np.all(new_transition[~zero] > 0.0)

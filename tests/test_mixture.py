@@ -224,13 +224,13 @@ class TestResponsibilities:
         assert np.all(block.gamma[dead] == 0.0) and np.all(block.transitions[dead] == 0.0)
         assert np.all(np.isfinite(block.gamma)) and np.all(np.isfinite(block.transitions))
 
-        warnings = []
-        updated, objective = em_step_mhmm(model, data, warnings)
-        assert objective == total
+        step = em_step_mhmm(model, data)
+        updated = step.model
+        assert step.objective == total
         for name in ("initial", "transition", "means", "variances"):
             assert np.array_equal(getattr(updated.components[0], name),
                                   getattr(comps[0], name))
-        assert any("component 1" in w for w in warnings)
+        assert any("component 1" in w for w in step.warnings)
         np.testing.assert_array_equal(updated.components[1].means, [[1e154]])
         np.testing.assert_array_equal(updated.alpha, [[0.0, 1.0]])
 

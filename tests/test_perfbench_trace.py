@@ -6,7 +6,9 @@ array, so a batched (B, T, S) call reaching one of those names would raise
 inside the wrapper. This runs a tiny fit in both modes, a scoring pass and a
 forecast under the tracer and checks that every per-layer metric is finite.
 The inner Adam loop must stay visible: one gradient and one Adam span per
-step, timed into ``training.adam_loop_s``.
+step, timed into ``training.adam_loop_s``. The tracer counts an EM step's
+last ``mixture.SparseMixtureModel`` span as M-step time, so each step must
+build its returned model after everything else it calls.
 """
 
 import math
@@ -50,3 +52,10 @@ def test_layer_metrics_are_finite():
     assert metrics["mixture.coefficient_gradient.calls"] == steps
     assert metrics["training.adam_ascent_step.calls"] == steps
     assert metrics["training.adam_loop_s"] > 0.0
+    spans = tracer.phases["run"]
+    last_child = {}
+    for name, _, _, parent, _ in spans:
+        if parent >= 0 and spans[parent][0] == "training.em_step":
+            last_child[parent] = name
+    assert len(last_child) == metrics["training.em_iters"] == 2 * config.outer_iters
+    assert set(last_child.values()) == {tracing.MODEL_SPAN}

@@ -9,6 +9,7 @@ import pytest
 
 from graphhmm import io
 from graphhmm.mixture import AffinityGraph, SequenceDataset
+from graphhmm.training import fit
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -60,6 +61,30 @@ class TestGridSweep:
                   for line in lines[1:]]
         assert all(np.isfinite(scores))
         assert "best: " in capsys.readouterr().out
+
+    def test_training_warnings_go_to_stderr(self, grid_sweep, tmp_path, capsys):
+        # node 2 has no sequences, so every EM iteration of each fit warns
+        rng = np.random.default_rng(5)
+        train_path = str(tmp_path / "train.jsonl")
+        io.save_dataset(SequenceDataset([(node, rng.normal(loc=3.0 * node, size=(6, 1)))
+                                         for node in (1, 3) for _ in range(4)]), train_path)
+        grid_path = str(tmp_path / "grid.json")
+        with open(grid_path, "w", encoding="utf-8") as fh:
+            json.dump({"num_components": 2, "num_states": 2, "outer_iters": 3,
+                       "rng_seed": [0, 1]}, fh)
+        rc = grid_sweep.main(["--train", train_path, "--val", train_path, "--grid", grid_path,
+                              "--out", str(tmp_path / "r.csv")])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        train = io.load_dataset(train_path)
+        expected = [f"warning: [{i}/2] {msg}"
+                    for i, (config, init) in enumerate(grid_sweep.load_grid(grid_path), start=1)
+                    for msg in fit(train, None, config, init).warnings]
+        assert err.splitlines() == expected
+        assert expected.count(
+            "warning: [2/2] node 2: no training sequences, mixing row left unchanged") == 3
+        assert not any(line.startswith("warning") for line in out.splitlines())
+        assert out.splitlines()[0].startswith("[1/2] M=2 S=2 lam=0.0 seed=0: mean_avg_ll=")
 
     def test_lam_without_graph_errors(self, grid_sweep, sweep_inputs, tmp_path,
                                       capsys):

@@ -109,7 +109,7 @@ class TestClosedFormUpdates:
         model = SparseMixtureModel([hmm], [[1.0]])
         seqs = [rng.normal(size=(4, 1)), rng.normal(size=(3, 1)), rng.normal(size=(5, 1))]
         data = SequenceDataset([(1, s) for s in seqs])
-        updated, _ = em_step_mhmm(model, data)
+        updated = em_step_mhmm(model, data).model
         initial, transition, means, variances = baum_welch_oracle(hmm, seqs)
         comp = updated.components[0]
         np.testing.assert_allclose(comp.initial, initial, rtol=0, atol=1e-9)
@@ -157,7 +157,7 @@ class TestClosedFormUpdates:
         model = SparseMixtureModel(comps, alpha)
         data = small_dataset(rng, [1, 1, 2, 1, 2], [3, 4, 3, 2, 5])
         stats = mixture_posteriors(model, data)
-        updated, _ = em_step_mhmm(model, data)
+        updated = em_step_mhmm(model, data).model
         for node in (1, 2):
             rows = stats.eta[stats.nodes == node]
             np.testing.assert_allclose(updated.alpha[node - 1], rows.mean(axis=0),
@@ -168,7 +168,7 @@ class TestClosedFormUpdates:
         comps = [random_hmm(rng, 2, 1) for _ in range(2)]
         model = SparseMixtureModel(comps, [[0.4, 0.6]])
         data = small_dataset(rng, [1, 1], [3, 4])
-        _, objective = em_step_mhmm(model, data)
+        objective = em_step_mhmm(model, data).objective
         expected = sum(mixture_log_likelihood(model, item.seq, item.node)
                        for item in data.items)
         np.testing.assert_allclose(objective, expected, rtol=0, atol=1e-12)
@@ -179,10 +179,9 @@ class TestClosedFormUpdates:
         alpha = np.array([[0.4, 0.6], [0.3, 0.7]])
         model = SparseMixtureModel(comps, alpha)
         data = small_dataset(rng, [1, 1], [3, 3])
-        warnings = []
-        updated, _ = em_step_mhmm(model, data, warnings)
-        np.testing.assert_array_equal(updated.alpha[1], alpha[1])
-        assert any("node 2" in w for w in warnings)
+        step = em_step_mhmm(model, data)
+        np.testing.assert_array_equal(step.model.alpha[1], alpha[1])
+        assert step.warnings == ["node 2: no training sequences, mixing row left unchanged"]
 
     def test_unreachable_state_keeps_its_row_and_warns(self):
         rng = np.random.default_rng(31)
@@ -191,9 +190,9 @@ class TestClosedFormUpdates:
                               [[0.0], [3.0]], [[1.0], [2.0]])
         model = SparseMixtureModel([trapped, random_hmm(rng, 2, 1)], [[0.5, 0.5]])
         data = small_dataset(rng, [1, 1, 1], [4, 2, 5])
-        warnings = []
-        new = em_step_mhmm(model, data, warnings)[0].components[0]
-        assert warnings == [
+        step = em_step_mhmm(model, data)
+        new = step.model.components[0]
+        assert step.warnings == [
             "component 1: transition rows [2] have near-zero occupancy, left unchanged",
             "component 1: emission states [2] have near-zero occupancy, left unchanged"]
         np.testing.assert_array_equal(new.transition[1], [0.5, 0.5])
@@ -207,8 +206,9 @@ class TestClosedFormUpdates:
         data = small_dataset(rng, [1, 2, 1, 2, 1, 2], [4, 5, 3, 4, 5, 3])
         values = []
         for _ in range(15):
-            model, objective = em_step_mhmm(model, data)
-            values.append(objective)
+            step = em_step_mhmm(model, data)
+            model = step.model
+            values.append(step.objective)
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-8), f"objective decreased: min diff {diffs.min():.3g}"
 
@@ -224,8 +224,8 @@ class TestGradientMode:
         config = TrainConfig(lam=0.0, inner_iters=10, learning_rate=1e-2)
         with_scores = SparseMixtureModel(comps, alpha, beta)
         plain = SparseMixtureModel(comps, alpha)
-        reg_model, _ = em_step_spamhmm(with_scores, data, graph, config)
-        plain_model, _ = em_step_mhmm(plain, data)
+        reg_model = em_step_spamhmm(with_scores, data, graph, config).model
+        plain_model = em_step_mhmm(plain, data).model
         for a, b in zip(reg_model.components, plain_model.components):
             np.testing.assert_allclose(a.initial, b.initial, rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.transition, b.transition, rtol=0, atol=1e-12)
@@ -243,7 +243,7 @@ class TestGradientMode:
         data = small_dataset(rng, [1, 1], [4, 3])
         graph = AffinityGraph(np.zeros((1, 1)))
         config = TrainConfig(lam=0.5, inner_iters=25, learning_rate=0.05)
-        updated, _ = em_step_spamhmm(model, data, graph, config)
+        updated = em_step_spamhmm(model, data, graph, config).model
         np.testing.assert_array_equal(updated.beta, beta)
 
     def test_objective_is_pre_update_penalized(self):
@@ -254,7 +254,7 @@ class TestGradientMode:
         data = small_dataset(rng, [1, 2, 2], [3, 4, 3])
         graph = AffinityGraph([[0.0, 0.7], [0.7, 0.0]])
         config = TrainConfig(lam=0.2, inner_iters=5)
-        _, objective = em_step_spamhmm(model, data, graph, config)
+        objective = em_step_spamhmm(model, data, graph, config).objective
         lls = [mixture_log_likelihood(model, item.seq, item.node) for item in data.items]
         expected = np.mean(lls) + 0.2 * regularizer_value(model.alpha, graph)
         np.testing.assert_allclose(objective, expected, rtol=0, atol=1e-12)
@@ -354,8 +354,8 @@ class TestGradientMode:
         moments = np.zeros(beta.shape, dtype=np.int64)
         shared = AdamState(moments, moments)
         fresh = AdamState.zeros(beta.shape)
-        got, _ = em_step_spamhmm(model, data, graph, config, shared)
-        want, _ = em_step_spamhmm(model, data, graph, config, fresh)
+        got = em_step_spamhmm(model, data, graph, config, shared).model
+        want = em_step_spamhmm(model, data, graph, config, fresh).model
         np.testing.assert_array_equal(got.beta, want.beta)
         np.testing.assert_array_equal(shared.m, fresh.m)
         np.testing.assert_array_equal(shared.v, fresh.v)
@@ -554,6 +554,81 @@ class TestFit:
         with pytest.raises(ValueError, match="nodes"):
             fit(data, graph, TrainConfig(outer_iters=1, lam=0.1),
                 InitSpec(2, 2, num_nodes=2))
+
+    def test_graph_sets_node_count_at_lam_zero(self):
+        # the graph term is inert at lam = 0, but the graph still sizes the model
+        rng = np.random.default_rng(21)
+        data = small_dataset(rng, [1, 2], [5, 5])
+        graph = AffinityGraph(np.ones((4, 4)) - np.eye(4))
+        result = fit(data, graph, TrainConfig(outer_iters=1), InitSpec(1, 2))
+        assert result.mode == "mhmm" and result.model.num_nodes == 4
+        assert result.warnings == [f"node {k}: no training sequences, mixing row left unchanged"
+                                   for k in (3, 4)]
+
+
+def _trapped_start(with_scores):
+    """A three-component start in which each kind of training warning fires.
+
+    Component 1 never enters its state 2, so that transition row and
+    emission state have zero occupancy; component 2's coefficients are zero
+    on every node, so its total responsibility is zero.
+    """
+    trapped = GaussianHmm([1.0, 0.0], [[1.0, 0.0], [0.5, 0.5]], [[0.0], [3.0]], [[1.0], [2.0]])
+    unused = GaussianHmm([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[0.5], [-0.5]], [[1.0], [1.0]])
+    free = GaussianHmm([0.5, 0.5], [[0.7, 0.3], [0.4, 0.6]], [[-1.0], [1.0]], [[1.0], [1.0]])
+    beta = np.array([[0.6, 0.0, 0.5], [0.3, 0.0, 0.7], [0.5, 0.0, 0.5]])
+    return SparseMixtureModel([trapped, unused, free], reparameterize_rows(beta),
+                              beta if with_scores else None)
+
+
+TRAPPED = ["component 1: transition rows [2] have near-zero occupancy, left unchanged",
+           "component 1: emission states [2] have near-zero occupancy, left unchanged"]
+DEAD_2 = "component 2: total responsibility below 1e-12, parameters left unchanged"
+DEAD_3 = "component 3: total responsibility below 1e-12, parameters left unchanged"
+# the exact lists over three iterations, pinned so that they cannot drift:
+# node 2 has no data (warned in plain mode only) and the negative graph
+# weights drive rows 1 and 3 to zero in regularized mode
+PINNED_WARNINGS = {
+    0.0: ["node 2: no training sequences, mixing row left unchanged", *TRAPPED, DEAD_2] * 3,
+    5.0: ["nodes [1]: all scores fell to zero, rows reset to uniform", *TRAPPED, DEAD_2,
+          "nodes [3]: all scores fell to zero, rows reset to uniform", *TRAPPED, DEAD_2, DEAD_3,
+          *TRAPPED, DEAD_2, DEAD_3],
+}
+
+
+class TestStepRecords:
+    @pytest.mark.parametrize("lam", sorted(PINNED_WARNINGS))
+    def test_fit_warnings_are_the_steps_warnings_in_order(self, lam, monkeypatch):
+        rng = np.random.default_rng(0)
+        data = SequenceDataset([(node, rng.normal(size=(5, 1))) for node in [1, 3] * 3])
+        graph = AffinityGraph([[0.0, -1.0, 1.0], [-1.0, 0.0, -1.0], [1.0, -1.0, 0.0]])
+        monkeypatch.setattr(training, "initialize_model",
+                            lambda *args, with_scores: _trapped_start(with_scores))
+        steps = []
+        for name in ("em_step_mhmm", "em_step_spamhmm"):
+            def recorded(*args, _step=getattr(training, name), **kwargs):
+                steps.append(_step(*args, **kwargs))
+                return steps[-1]
+            monkeypatch.setattr(training, name, recorded)
+        config = TrainConfig(lam=lam, outer_iters=3, inner_iters=50, learning_rate=0.2)
+        result = fit(data, graph, config, InitSpec(3, 2))
+        assert len(steps) == 3 and all(isinstance(s, training.EmStep) for s in steps)
+        assert result.objectives[:-1] == [s.objective for s in steps]
+        assert result.model is steps[-1].model
+        assert result.warnings == [w for s in steps for w in s.warnings]
+        assert result.warnings == PINNED_WARNINGS[lam]
+
+    def test_steps_log_nothing(self, caplog):
+        rng = np.random.default_rng(3)
+        model = _trapped_start(with_scores=True)
+        data = small_dataset(rng, [1, 3], [4, 4])
+        graph = AffinityGraph(np.zeros((3, 3)))
+        caplog.set_level("DEBUG", logger="graphhmm")
+        plain = em_step_mhmm(SparseMixtureModel(model.components, model.alpha), data)
+        scored = em_step_spamhmm(model, data, graph, TrainConfig(lam=0.1, inner_iters=2))
+        assert plain.warnings[0] == "node 2: no training sequences, mixing row left unchanged"
+        assert plain.warnings[1:] == scored.warnings == [*TRAPPED, DEAD_2]
+        assert caplog.records == []
 
 
 class TestBaselines:
