@@ -22,7 +22,7 @@ coefficient sparsity, and the mean per-timestep held-out log-likelihood;
 the best row by that metric is printed last. Each training warning goes to
 stderr as "warning: [i/n] <message>" for the i-th of n fits. Without --val
 the training set is scored instead (useful only for smoke runs, and flagged
-as such).
+as such by a warning on stderr), so stdout holds only result lines.
 """
 
 import argparse
@@ -71,9 +71,14 @@ def mean_score(model, dataset):
 
 
 def run_sweep(combos, train, val, graph, out_path):
-    """Fit and score each (TrainConfig, InitSpec) pair from load_grid."""
+    """Fit and score each (TrainConfig, InitSpec) pair from load_grid.
+
+    val None scores the training set, with a warning on stderr."""
     if graph is None and any(config.lam > 0.0 for config, _ in combos):
         raise ValueError("grid contains lam > 0 but no --graph was given")
+    if val is None:
+        print("warning: no --val given, scoring the training set", file=sys.stderr)
+        val = train
     rows = []
     for i, (config, init) in enumerate(combos, start=1):
         result = fit(train, graph if config.lam > 0.0 else None, config, init)
@@ -112,11 +117,7 @@ def main(argv=None):
     try:
         combos = load_grid(args.grid)
         train = io.load_dataset(args.train)
-        if args.val:
-            val = io.load_dataset(args.val)
-        else:
-            print("warning: no --val given, scoring the training set")
-            val = train
+        val = io.load_dataset(args.val) if args.val else None
         graph = io.load_graph(args.graph) if args.graph else None
         run_sweep(combos, train, val, graph, args.out)
     except (ValueError, OSError) as exc:

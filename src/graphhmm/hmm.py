@@ -7,6 +7,7 @@ log space, so long sequences cannot underflow. A GaussianHmm may also hold
 a stack of equally shaped HMMs; inference and sampling take a single one.
 """
 
+from bisect import bisect_right
 import math
 import numbers
 from dataclasses import dataclass
@@ -226,6 +227,18 @@ def _draw(cdf: np.ndarray, u) -> np.ndarray:
     return np.add.reduce(cdf <= np.asarray(u)[..., None], axis=-1)
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or "an int of N digits" for an int
+    too long for Python to render as a string."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        digits = int(math.log10(size)) + 1  # the float log can be one off near 10**k
+        digits += (size >= 10 ** digits) - (size < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def check_count(value, name: str, minimum=1, what: str = "an integer") -> int:
     """The one integer rule: an int or numpy integer, not bool, >= minimum, as int.
 
@@ -234,7 +247,7 @@ def check_count(value, name: str, minimum=1, what: str = "an integer") -> int:
     if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be {what}{bound}, got {value!r}")
+        raise ValueError(f"{name} must be {what}{bound}, got {_shown(value)}")
     return int(value)
 
 
@@ -248,19 +261,21 @@ def check_real(value, name: str, positive: bool = False) -> float:
     except OverflowError:
         finite = False
     if not finite or value < 0 or (positive and value == 0):
-        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                         f"got {_shown(value)}")
     return float(value)
 
 
 def _chains(hmm: GaussianHmm, comp, state: np.ndarray, length: int, rng) -> np.ndarray:
-    """The (length, n, D) emissions of n chains run from state[i].
+    """The (length, n, D) emissions of n chains run from state[i], for forecasts.
 
     comp[i] is the stack component that chain i runs, or 0 for a single HMM.
     Each step draws n uniforms for the transitions, then n * D normals for
-    the emissions. The step loop draws only the states, held as flat
-    comp * S + state row indices, and the noise; means + std * noise is then
-    formed for all steps at once, the same operations on the same values as
-    forming each step's emissions in turn.
+    the emissions, the stream order that sample keeps for one chain. The
+    step loop draws only the states, held as flat comp * S + state row
+    indices, and the noise; means + std * noise is then formed for all steps
+    at once, the same operations on the same values as forming each step's
+    emissions in turn.
     """
     s, n = hmm.num_states, state.size
     rows = _cdf(hmm.transition).reshape(-1, s)
@@ -284,9 +299,25 @@ def sample(hmm: GaussianHmm, length: int, rng) -> np.ndarray:
 
     ``rng`` is an integer seed or a ``numpy.random.Generator``; passing a
     generator threads one stream through nested sampling calls.
+
+    One chain needs no arrays in its step loop: each step draws a uniform,
+    finds the next state with bisect_right on the state's CDF row held as
+    a Python list (the count of entries <= u, which is _draw's result as
+    the row is non-decreasing), and fills that step's D normals. The
+    emissions are then formed in one pass, as _chains forms them.
     """
     _require_single(hmm)
     length = check_count(length, "length")
     rng = np.random.default_rng(rng)
-    state = _draw(_cdf(hmm.initial), rng.random(1))
-    return _chains(hmm, 0, state, length, rng)[:, 0]
+    random, normal = rng.random, rng.standard_normal
+    rows = _cdf(hmm.transition).tolist()
+    state = bisect_right(_cdf(hmm.initial).tolist(), random())
+    states = []
+    noise = np.empty((length, hmm.dim))
+    for step in noise:
+        state = bisect_right(rows[state], random())
+        states.append(state)
+        normal(out=step)
+    noise *= np.sqrt(hmm.variances).take(states, axis=0)
+    noise += hmm.means.take(states, axis=0)
+    return noise

@@ -10,7 +10,8 @@ Every output file is written by _write from a JSON document or CSV table
 built whole, so one that fails to serialize leaves the target as it was;
 datasets hold checked records only and are streamed. JSON is canonical:
 keys in a fixed order and every float rendered with 17 significant digits
-(with a decimal point forced so floats never reparse as ints). Loading a
+(with a decimal point forced so floats never reparse as ints); a float64
+array is rendered whole, in one format call, to the same text. Loading a
 file and saving it again reproduces the bytes exactly, and a fixed-seed
 training run writes byte-identical output every time.
 """
@@ -29,15 +30,41 @@ from .mixture import AffinityGraph, RecordError, SequenceDataset, SparseMixtureM
 FORMAT_VERSION = 1
 
 
+def _point(s: str) -> str:
+    """s with ".0" appended when it has neither a decimal point nor an exponent."""
+    if "." not in s and "e" not in s and "E" not in s:
+        s += ".0"
+    return s
+
+
 def format_float(x: float) -> str:
     """17-significant-digit rendering that roundtrips exactly and always
     reparses as a float (a decimal point is forced onto integral values)."""
     if not np.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    return _point(format(float(x), ".17g"))
+
+
+def _template(shape: tuple) -> str:
+    """The nested brackets of an array of this shape, one %s per entry."""
+    text = "%s"
+    for width in reversed(shape):
+        text = "[" + ",".join([text] * width) + "]"
+    return text
+
+
+def _format_array(arr: np.ndarray) -> str:
+    """A non-empty float64 array as nested lists, each entry as format_float
+    renders it: all entries in one format call, the decimal point forced on
+    the tokens of integral values only."""
+    flat = arr.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {flat[~finite][0].item()!r}")
+    tokens = (("%.17g\0" * flat.size)[:-1] % tuple(flat.tolist())).split("\0")
+    for i in np.flatnonzero(flat == np.floor(flat)).tolist():
+        tokens[i] = _point(tokens[i])
+    return _template(arr.shape) % tuple(tokens)
 
 
 def _write_canonical(obj, parts: list) -> None:
@@ -50,6 +77,8 @@ def _write_canonical(obj, parts: list) -> None:
             parts.append(":")
             _write_canonical(value, parts)
         parts.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size:
+        parts.append(_format_array(obj))
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, value in enumerate(obj):
@@ -173,7 +202,7 @@ def load_dataset(path: str) -> SequenceDataset:
 def save_dataset(dataset: SequenceDataset, path: str) -> None:
     def lines():
         for item in dataset.items:
-            rec = {"node": item.node, "seq": item.seq.tolist()}
+            rec = {"node": item.node, "seq": item.seq}
             if item.label is not None:
                 rec["label"] = item.label
             yield canonical_dumps(rec) + "\n"
@@ -199,7 +228,7 @@ def load_graph(path: str, normalize: bool = False) -> AffinityGraph:
 
 
 def save_graph(graph: AffinityGraph, path: str) -> None:
-    save_json({"num_nodes": graph.num_nodes, "weights": graph.weights.tolist()}, path)
+    save_json({"num_nodes": graph.num_nodes, "weights": graph.weights}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +241,14 @@ def save_model(model: SparseMixtureModel, path: str, metadata: dict = None) -> N
         "num_components": model.num_components,
         "num_states": model.num_states,
         "dim": model.dim,
-        "alpha": model.alpha.tolist(),
-        "beta": None if model.beta is None else model.beta.tolist(),
+        "alpha": model.alpha,
+        "beta": model.beta,
         "components": [
             {
-                "initial": c.initial.tolist(),
-                "transition": c.transition.tolist(),
-                "means": c.means.tolist(),
-                "variances": c.variances.tolist(),
+                "initial": c.initial,
+                "transition": c.transition,
+                "means": c.means,
+                "variances": c.variances,
             }
             for c in model.components
         ],

@@ -392,17 +392,19 @@ def test_12_inference_scales_linearly():
     cases = [(small, seq_short), (large, seq_short), (small, seq_long)]
     for model, seq in cases:
         mixture_log_likelihood(model, seq, 1)  # warm any lazy compilation
+    # The three cases' calls alternate, so a slow spell of the host slows
+    # all alike, and each case's minimum is its least disturbed call.
     times = [[] for _ in cases]
     for _ in range(20):
         for slot, (model, seq) in enumerate(cases):
             t0 = time.perf_counter()
             mixture_log_likelihood(model, seq, 1)
             times[slot].append(time.perf_counter() - t0)
-    base, doubled_m, doubled_t = (float(np.median(ts)) for ts in times)
+    base, doubled_m, doubled_t = (min(ts) for ts in times)
     m_ratio = doubled_m / base
     t_ratio = doubled_t / base
     assert m_ratio <= 2.2
     assert t_ratio <= 2.2
-    print(f"PASS criterion 12: median inference time grows {m_ratio:.2f}x when "
+    print(f"PASS criterion 12: minimum inference time grows {m_ratio:.2f}x when "
           f"components double and {t_ratio:.2f}x when length doubles "
           f"(budget 2.2x)")

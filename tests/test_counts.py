@@ -84,6 +84,21 @@ def test_real_beyond_float_range_is_refused_by_name(name, call, sign):
         call(sign * 10**400)
 
 
+@pytest.mark.parametrize("name, call, bad, shown", [
+    ("lam", lambda v: TrainConfig(lam=v), 10**5000, "an int of 5001 digits"),
+    ("outer_iters", lambda v: TrainConfig(outer_iters=v), -10**5000,
+     "a negative int of 5001 digits"),
+    ("rng_seed", lambda v: TrainConfig(rng_seed=v), -10**5000, "a negative int of 5001 digits"),
+    ("lam", lambda v: TrainConfig(lam=v), 10**5000 - 1, "an int of 5000 digits"),
+], ids=["lam", "outer_iters", "rng_seed", "lam-all-nines"])
+def test_int_too_long_to_print_is_refused_by_name(name, call, bad, shown):
+    # repr of an int past Python's 4300-digit limit raises; the message must not
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value).startswith(f"{name} "), str(err.value)
+    assert str(err.value).endswith(f", got {shown}")
+
+
 @pytest.mark.parametrize("name, call", COUNTS, ids=[f"{n}-{i}" for i, (n, _) in enumerate(COUNTS)])
 def test_numpy_integer_count_accepted(name, call):
     call(np.int64(2))

@@ -408,3 +408,35 @@ class TestStreamOrder:
             got = sample(model.components[2], length, length)
             want = _reference_sample(model.components[2], length, length)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [1, 16])
+    def test_long_single_chains_bit_identical(self, s):
+        # the single-chain loop of sample keeps the per-step generator's bits
+        # over long runs, through exact-zero transitions and unreachable
+        # trailing states (zero initial entries, zero columns)
+        rng = np.random.default_rng(40 + s)
+        model = _zeroed_mixture(rng, s, 3)
+        comps = model.components
+        if s > 1:
+            initial, transition = comps.initial.copy(), comps.transition.copy()
+            means = comps.means.copy()
+            initial[:, -2:] = transition[:, :, -2:] = 0.0
+            transition[:, :, 0] += 1e-3
+            transition /= transition.sum(axis=2, keepdims=True)
+            initial /= initial.sum(axis=1, keepdims=True)
+            means[:, -2:] = 1e6
+            comps = GaussianHmm(initial, transition, means, comps.variances)
+            model = SparseMixtureModel(comps, model.alpha, model.beta)
+            assert np.count_nonzero(comps.transition == 0.0) > 2 * 3 * s
+        for seed in range(3):
+            for m in range(3):
+                got = sample(comps[m], 1500, seed)
+                want = _reference_sample(comps[m], 1500, seed)
+                assert got.shape == want.shape == (1500, 3)
+                assert got.tobytes() == want.tobytes(), (seed, m)
+                if s > 1:
+                    assert np.abs(got).max() < 1e5  # the trailing states never emit
+            for node in (1, 2):
+                got = sample_from_node(model, node, 1500, seed)
+                want = _reference_sample_from_node(model, node, 1500, seed)
+                assert got.tobytes() == want.tobytes(), (seed, node)

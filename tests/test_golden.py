@@ -7,12 +7,16 @@ pinned the same way: the conditioned weights and initials, the predictive
 log-likelihood and fixed-seed forecast means of a small sparse model must
 render exactly as in golden_forecast.json. The data, the graph and the
 forecast model are drawn with numpy alone, so the guard does not lean on
-the package's own sampling code.
+the package's own sampling code. Dataset generation is pinned last: the
+``generate`` command, run on a small model at a fixed seed, must write
+exactly golden_generate.jsonl, so the sampler and the dataset writer are
+held to their bytes together.
 
 To rewrite the files after an intended change of numbers:
 ``PYTHONPATH=src python tests/test_golden.py``. It prints, per file, the
 largest absolute difference between the numbers of the committed file and
-the new one before it rewrites the file.
+the new one (each line read as one JSON document) before it rewrites the
+file.
 """
 
 import json
@@ -25,6 +29,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from graphhmm.cli import main as cli_main
 from graphhmm.forecast import condition, forecast_mean, predictive_log_likelihood
 from graphhmm.hmm import GaussianHmm
 from graphhmm.io import canonical_dumps, save_model
@@ -143,6 +148,53 @@ def test_forecasts_reproduce_committed_file(tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def generate_model() -> SparseMixtureModel:
+    """K=3 nodes over M=2 components with S=3 states and D=2 features.
+
+    Component 1 has an exact-zero transition and component 2 an unreachable
+    last state (zero in its initial entry and in every transition into it).
+    Node 3 gives component 1 a zero coefficient. The first feature of
+    component 1's first state sits at 1e16 with the smallest legal variance,
+    so its draws are integral floats that need a forced decimal point.
+    """
+    rng = np.random.default_rng(3)
+    transition = rng.uniform(0.2, 1.0, size=(2, 3, 3))
+    transition[0, 1, 2] = 0.0
+    transition[1, :, 2] = 0.0
+    transition /= transition.sum(axis=2, keepdims=True)
+    initial = np.array([[0.3, 0.3, 0.4], [0.6, 0.4, 0.0]])
+    means = rng.normal(0.0, 3.0, size=(2, 3, 2))
+    means[1, 2] = 1e6
+    variances = rng.uniform(0.1, 2.0, size=(2, 3, 2))
+    means[0, 0, 0], variances[0, 0, 0] = 1e16, 1e-6
+    alpha = np.array([[0.5, 0.5], [0.9, 0.1], [0.0, 1.0]])
+    return SparseMixtureModel(GaussianHmm(initial, transition, means, variances), alpha)
+
+
+def golden_generate(path: str) -> None:
+    """Two seeded generate runs, lengths 1 and 40, their files joined in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        save_model(generate_model(), spec)
+        pieces = []
+        for length, seed, label in ((1, 7, []), (40, 8, ["--label", "anomalous"])):
+            out = os.path.join(tmp, f"length_{length}.jsonl")
+            assert cli_main(["generate", "--spec", spec, "--num-seqs", "3",
+                             "--length", str(length), "--seed", str(seed),
+                             "--out", out] + label) == 0
+            with open(out, "rb") as fh:
+                pieces.append(fh.read())
+    with open(path, "wb") as fh:
+        fh.write(b"".join(pieces))
+
+
+def test_generate_reproduces_committed_dataset_file(tmp_path, capsys):
+    out = tmp_path / "generate.jsonl"
+    golden_generate(str(out))
+    with open(os.path.join(DATA_DIR, "golden_generate.jsonl"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def largest_difference(old, new) -> float:
     """Largest absolute difference between the numbers of two JSON documents.
 
@@ -165,7 +217,8 @@ def rewrite(name: str, write) -> None:
         write(new_path)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as old, open(new_path, encoding="utf-8") as new:
-                diff = largest_difference(json.load(old), json.load(new))
+                diff = largest_difference([json.loads(line) for line in old],
+                                          [json.loads(line) for line in new])
             print(f"{name}: largest difference, old to new: {diff:.3g}")
         shutil.copyfile(new_path, path)
     print(f"wrote {path}", file=sys.stderr)
@@ -177,3 +230,4 @@ if __name__ == "__main__":
         rewrite(f"golden_{mode}.json", lambda path, mode=mode: golden_fit(mode, path))
     rewrite("golden_mhmm_d3.json", golden_fit_3d)
     rewrite("golden_forecast.json", golden_forecasts)
+    rewrite("golden_generate.jsonl", golden_generate)

@@ -86,6 +86,21 @@ class TestGridSweep:
         assert not any(line.startswith("warning") for line in out.splitlines())
         assert out.splitlines()[0].startswith("[1/2] M=2 S=2 lam=0.0 seed=0: mean_avg_ll=")
 
+    def test_missing_val_warns_on_stderr(self, grid_sweep, sweep_inputs, tmp_path, capsys):
+        train_path, _ = sweep_inputs
+        grid_path = str(tmp_path / "grid.json")
+        with open(grid_path, "w", encoding="utf-8") as fh:
+            json.dump({"num_components": 1, "num_states": 2, "outer_iters": 2,
+                       "rng_seed": [0, 1]}, fh)
+        out_path = str(tmp_path / "r.csv")
+        rc = grid_sweep.main(["--train", train_path, "--grid", grid_path, "--out", out_path])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == ["warning: no --val given, scoring the training set"]
+        lines = out.splitlines()
+        assert [line.split(" ")[0] for line in lines] == ["[1/2]", "[2/2]", "wrote", "best:"]
+        assert lines[2] == f"wrote {out_path} (2 rows)"
+
     def test_lam_without_graph_errors(self, grid_sweep, sweep_inputs, tmp_path,
                                       capsys):
         train_path, _ = sweep_inputs
