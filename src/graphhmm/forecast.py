@@ -50,7 +50,7 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
     kernels.forward_ends, so a short prefix under a few small components
     costs about ceil(log2 T) stacked matrix products, not T forward steps.
     """
-    node = check_node(model, node)
+    node = check_node(node, model.num_nodes)
     prefix = validate_sequence(prefix, model.dim)
     log_w, blocks = _live_pairs(model.components, model.alpha[node - 1:node], [prefix],
                                 _end_rows)

@@ -269,7 +269,7 @@ def check_real(value, name: str, positive: bool = False) -> float:
 def _chains(hmm: GaussianHmm, comp, state: np.ndarray, length: int, rng) -> np.ndarray:
     """The (length, n, D) emissions of n chains run from state[i], for forecasts.
 
-    comp[i] is the stack component that chain i runs, or 0 for a single HMM.
+    comp[i] is the stack component that chain i runs.
     Each step draws n uniforms for the transitions, then n * D normals for
     the emissions, the stream order that sample keeps for one chain. The
     step loop draws only the states, held as flat comp * S + state row

@@ -9,9 +9,9 @@ which can drive coefficients exactly to zero.
 Node ids are 1-based throughout the public API, matching the file formats;
 component indices returned to callers (sampling traces, cluster labels)
 are 1-based as well. The dictionary is one GaussianHmm stack with a leading
-component axis. The E-step, scoring, forecast conditioning and predictive
-scoring all run one driver, _live_pairs, over blocks of live (sequence,
-component) pairs, and each sums the same M-wide row of log-weights per record.
+component axis. The E-step, dataset and single-sequence scoring, forecast
+conditioning and predictive scoring all run one driver, _live_pairs, over live
+(sequence, component) pairs, each summing one M-wide log-weight row per record.
 """
 
 from dataclasses import dataclass
@@ -252,10 +252,11 @@ class MixtureSufficientStats:
         return column
 
 
-def check_node(model: SparseMixtureModel, node: int) -> int:
+def check_node(node: int, num_nodes: int) -> int:
+    """The one node-id rule: an integer in [1..num_nodes], as int."""
     node = check_count(node, "node id", minimum=None)
-    if not 1 <= node <= model.num_nodes:
-        raise ValueError(f"node id {node} out of range [1..{model.num_nodes}]")
+    if not 1 <= node <= num_nodes:
+        raise ValueError(f"node id {node} out of range [1..{num_nodes}]")
     return node
 
 
@@ -348,8 +349,7 @@ def _checked_nodes(model: SparseMixtureModel, dataset: SequenceDataset) -> np.nd
     """
     check_dim(model, dataset)
     nodes = np.array([item.node for item in dataset.items], dtype=np.int64)
-    if nodes.max() > model.num_nodes:  # the dataset already holds ids >= 1
-        raise ValueError(f"node id {nodes.max()} out of range [1..{model.num_nodes}]")
+    check_node(nodes.max(), model.num_nodes)  # the dataset already holds ids >= 1
     return nodes
 
 
@@ -372,9 +372,10 @@ def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int
     Components whose coefficient is exactly zero are skipped, so sparse
     mixing rows reduce inference cost.
     """
-    node = check_node(model, node)
+    node = check_node(node, model.num_nodes)
     seq = validate_sequence(seq, model.dim)
-    return float(mixture_log_likelihoods(model, SequenceDataset([(node, seq)]))[0])
+    log_w, _ = _live_pairs(model.components, model.alpha[node - 1:node], [seq], _end_rows)
+    return float(kernels.logsumexp(log_w[0]))
 
 
 def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> MixtureSufficientStats:
@@ -458,7 +459,7 @@ def sample_from_node(model: SparseMixtureModel, node: int, length: int, rng,
     ``return_component=True`` the chosen component's 1-based index is
     returned alongside the sequence.
     """
-    node = check_node(model, node)
+    node = check_node(node, model.num_nodes)
     rng = np.random.default_rng(rng)
     z = int(_draw(_cdf(model.alpha[node - 1]), rng.random()))
     seq = sample(model.components[z], length, rng)

@@ -26,8 +26,9 @@ import numpy as np
 from . import kernels
 from .hmm import VARIANCE_FLOOR, GaussianHmm, check_count, check_real
 from .mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
-                      SparseMixtureModel, coefficient_gradient, mixture_log_likelihoods,
-                      mixture_posteriors, regularizer_value, reparameterize_rows)
+                      SparseMixtureModel, check_node, coefficient_gradient,
+                      mixture_log_likelihoods, mixture_posteriors, regularizer_value,
+                      reparameterize_rows)
 
 RESPONSIBILITY_EPS = 1e-12
 # Adam's moment decay rates and denominator guard on the score updates.
@@ -462,9 +463,7 @@ def fit(dataset: SequenceDataset, graph: AffinityGraph, config: TrainConfig,
     num_nodes = init.num_nodes
     if num_nodes is None:
         num_nodes = graph.num_nodes if graph is not None else dataset.max_node
-    if dataset.max_node > num_nodes:
-        raise ValueError(
-            f"dataset contains node id {dataset.max_node} but only {num_nodes} nodes declared")
+    check_node(dataset.max_node, num_nodes)
     regularized = graph is not None and config.lam > 0
     graph = graph if regularized else None
     model = initialize_model(dataset, num_nodes, init.num_components, init.num_states,
@@ -506,6 +505,7 @@ def fit_single_hmm(dataset: SequenceDataset, config: TrainConfig, num_states: in
     """Pooled baseline: one HMM for all nodes, exposed as a mixture whose
     every node row is the one-hot on that single component."""
     k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
+    check_node(dataset.max_node, k)
     pooled = SequenceDataset([(1, item.seq, item.label) for item in dataset.items])
     result = fit(pooled, None, config, InitSpec(1, num_states, 1))
     single = result.model.components[0]
@@ -518,6 +518,7 @@ def fit_per_node(dataset: SequenceDataset, config: TrainConfig, num_states: int,
     """Per-node baseline: an independent HMM per node, exposed as a mixture
     with identity mixing (node k always uses component k)."""
     k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
+    check_node(dataset.max_node, k)
     components, objectives, warnings = [], [], []
     for node in range(1, k + 1):
         sub_items = [(1, item.seq, item.label) for item in dataset.items if item.node == node]

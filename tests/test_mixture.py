@@ -174,6 +174,49 @@ class TestMixtureLikelihood:
         with pytest.raises(ValueError, match="out of range"):
             mixture_log_likelihood(model, np.zeros((2, 1)), 0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_sequence_equals_the_dataset_pass_bit_for_bit(self, seed):
+        # one record's score straight through the live-pair driver is the
+        # dataset pass's, for M = 1..9 with a zero coefficient when M > 1
+        rng = np.random.default_rng(40 + seed)
+        for m in range(1, 10):
+            beta = rng.uniform(0.2, 1.5, size=(3, m))
+            if m > 1:
+                beta[rng.integers(3), rng.integers(m)] = 0.0
+            model = make_mixture(rng, k=3, m=m, s=int(rng.integers(1, 4)), d=2, beta=beta)
+            for node in (1, 2, 3):
+                seq = rng.normal(size=(int(rng.integers(1, 30)), 2))
+                single = mixture_log_likelihood(model, seq, node)
+                batch = mixture_log_likelihoods(model, SequenceDataset([(node, seq)]))[0]
+                assert np.float64(single).tobytes() == np.float64(batch).tobytes()
+
+    def test_single_sequence_builds_no_dataset(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        model = make_mixture(rng, k=2)
+        built = []
+        post_init = SequenceDataset.__post_init__
+
+        def spy(dataset):
+            built.append(len(dataset.items))
+            post_init(dataset)
+
+        monkeypatch.setattr(SequenceDataset, "__post_init__", spy)
+        mixture_log_likelihood(model, rng.normal(size=(5, 1)), 2)
+        assert built == []
+        SequenceDataset([(1, np.zeros((2, 1)))])  # the spy does see a dataset built
+        assert built == [1]
+
+    @pytest.mark.parametrize("node, seq, message", [
+        (0, np.zeros((2, 1)), r"node id 0 out of range \[1\.\.2\]"),
+        (3, np.zeros((2, 1)), r"node id 3 out of range \[1\.\.2\]"),
+        (1.0, np.zeros((2, 1)), r"node id must be an integer, got 1\.0"),
+        (1, np.zeros((2, 3)), r"sequence has dimension 3, model expects 1"),
+    ])
+    def test_bad_inputs_keep_their_messages(self, node, seq, message):
+        model = make_mixture(np.random.default_rng(42), k=2)
+        with pytest.raises(ValueError, match=message):
+            mixture_log_likelihood(model, seq, node)
+
 
 class TestResponsibilities:
     def test_rows_sum_to_one_and_match_direct(self):

@@ -657,6 +657,19 @@ class TestBaselines:
         with pytest.raises(ValueError, match="node 2"):
             fit_per_node(data, TrainConfig(outer_iters=1), num_states=2)
 
+    def test_node_ids_above_num_nodes_are_refused(self):
+        # both baselines and fit apply the one node-id rule to the dataset
+        rng = np.random.default_rng(24)
+        data = small_dataset(rng, [1, 2, 3] * 3, [8] * 9)
+        config = TrainConfig(outer_iters=1)
+        message = r"node id 3 out of range \[1\.\.2\]"
+        with pytest.raises(ValueError, match=message):
+            fit_single_hmm(data, config, num_states=2, num_nodes=2)
+        with pytest.raises(ValueError, match=message):
+            fit_per_node(data, config, num_states=2, num_nodes=2)
+        with pytest.raises(ValueError, match=message):
+            fit(data, None, config, InitSpec(2, 2, num_nodes=2))
+
 
 class TestConfigValidation:
     def test_negative_lam(self):
