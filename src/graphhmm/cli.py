@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from . import io
-from .evaluation import cluster_assignments, relative_sparsity, roc_auc, score_dataset
+from .evaluation import (ANOMALOUS, cluster_assignments, relative_sparsity, roc_auc,
+                         score_dataset)
 from .forecast import forecast_mean
 from .hmm import check_count
-from .mixture import SequenceDataset, check_dim, sample_from_node
+from .mixture import LABELS, SequenceDataset, check_dim, sample_from_node
 from .training import InitSpec, TrainConfig, fit
 
 
@@ -73,23 +74,17 @@ def _cmd_train(args) -> int:
         "outer_iters": config.outer_iters,
         "inner_iters": config.inner_iters,
         "learning_rate": config.learning_rate,
-        "objective_trace": [float(v) for v in result.objectives],
+        "objective_trace": result.objectives,
         "standardization": stats,
     }
     io.save_model(result.model, args.out, metadata)
     log_path = args.log_out if args.log_out else args.out + ".train.csv"
-    io.save_csv(log_path, ["iteration", "objective"],
-                [(i, io.format_float(v)) for i, v in enumerate(result.objectives)])
+    io.save_csv(log_path, ["iteration", "objective"], enumerate(result.objectives))
     for msg in result.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     print(f"wrote {args.out} ({result.mode}, {len(result.objectives) - 1} iterations, "
           f"final objective {result.objectives[-1]:.6f}); log: {log_path}")
     return 0
-
-
-def _format_score(score: float) -> str:
-    """A score for the scores CSV: zero likelihood (-inf) is written as -inf."""
-    return "-inf" if score == -np.inf else io.format_float(score)
 
 
 def _finite_mean(values: list):
@@ -107,8 +102,7 @@ def _cmd_score(args) -> int:
     scored = score_dataset(model, dataset)
     if args.scores_out:
         io.save_csv(args.scores_out, ["node", "length", "avg_log_likelihood", "label"],
-                    [(s.node, s.length, _format_score(s.avg_log_likelihood),
-                      s.label if s.label is not None else "") for s in scored])
+                    [(s.node, s.length, s.avg_log_likelihood, s.label) for s in scored])
     labeled = [(s.avg_log_likelihood, s.label) for s in scored if s.label is not None]
     all_scores = [s.avg_log_likelihood for s in scored]
     summary = {
@@ -116,12 +110,12 @@ def _cmd_score(args) -> int:
         "num_zero_likelihood": sum(1 for v in all_scores if v == -np.inf),
         "mean_avg_log_likelihood": _finite_mean(all_scores),
     }
-    for label in ("normal", "anomalous"):
+    for label in LABELS:
         values = [v for v, lab in labeled if lab == label]
         if values:
             summary[f"num_{label}"] = len(values)
             summary[f"mean_avg_log_likelihood_{label}"] = _finite_mean(values)
-    have_both = (0 < sum(1 for _, lab in labeled if lab == "anomalous") < len(labeled))
+    have_both = (0 < sum(1 for _, lab in labeled if lab == ANOMALOUS) < len(labeled))
     if labeled and not have_both:
         print("warning: labels present but only one class; skipping ROC/AUC",
               file=sys.stderr)
@@ -129,8 +123,7 @@ def _cmd_score(args) -> int:
         curve, auc = roc_auc(labeled)
         summary["auc"] = auc
         if args.roc_out:
-            io.save_csv(args.roc_out, ["fpr", "tpr"],
-                        [(io.format_float(f), io.format_float(t)) for f, t in curve])
+            io.save_csv(args.roc_out, ["fpr", "tpr"], curve)
     if args.json_out:
         io.save_json(summary, args.json_out)
     mean = summary["mean_avg_log_likelihood"]
@@ -158,8 +151,7 @@ def _cmd_forecast(args) -> int:
         shift, scale = io.mean_std(stats, item.node, model.dim)
         mean = mean * scale + shift
     header = ["step"] + [f"x{d + 1}" for d in range(mean.shape[1])]
-    io.save_csv(args.out, header,
-                [[t + 1] + [io.format_float(v) for v in mean[t]] for t in range(mean.shape[0])])
+    io.save_csv(args.out, header, [[t + 1, *row] for t, row in enumerate(mean)])
     print(f"wrote {args.out} ({mean.shape[0]} steps x {mean.shape[1]} features, "
           f"node {node}, {args.samples} samples)")
     return 0
@@ -265,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--num-seqs", required=True, type=int, help="sequences per node")
     _add(p, "--length", required=True, type=int, help="timesteps per sequence")
     _add(p, "--seed", type=int, default=0, help="sampling seed")
-    _add(p, "--label", choices=["normal", "anomalous"],
+    _add(p, "--label", choices=LABELS,
          help="label to attach to every generated sequence")
     _add(p, "--out", required=True, help="output dataset (JSON Lines)")
     p.set_defaults(func=_cmd_generate)

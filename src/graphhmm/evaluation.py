@@ -6,10 +6,9 @@ from typing import Optional
 import numpy as np
 
 from .hmm import check_real
-from .mixture import SequenceDataset, SparseMixtureModel, mixture_log_likelihoods
+from .mixture import LABELS, SequenceDataset, SparseMixtureModel, mixture_log_likelihoods
 
-NORMAL = "normal"
-ANOMALOUS = "anomalous"
+NORMAL, ANOMALOUS = LABELS
 
 # trapezoid landed in numpy 2.0; trapz is its deprecated spelling
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -51,7 +50,7 @@ def roc_auc(scores: list):
     values = []
     labels = []
     for i, (score, label) in enumerate(scores):
-        if label not in (NORMAL, ANOMALOUS):
+        if label not in LABELS:
             raise ValueError(f"scores[{i}]: label must be 'normal' or 'anomalous', "
                              f"got {label!r}")
         if not (np.isfinite(score) or score == -np.inf):

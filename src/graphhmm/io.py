@@ -8,12 +8,13 @@ Standardization stats are checked where they are applied.
 
 Every output file is written by _write from a JSON document or CSV table
 built whole, so one that fails to serialize leaves the target as it was;
-datasets hold checked records only and are streamed. JSON is canonical:
-keys in a fixed order and every float rendered with 17 significant digits
-(with a decimal point forced so floats never reparse as ints); a float64
-array is rendered whole, in one format call, to the same text. Loading a
-file and saving it again reproduces the bytes exactly, and a fixed-seed
-training run writes byte-identical output every time.
+datasets hold checked records only and are streamed. Every number goes
+through one rule: a float has 17 significant digits (with a decimal point
+forced so it never reparses as an int), a float64 array is rendered in one
+format call to the same text, and a non-finite float is refused, except
+that a CSV cell writes -inf as -inf (and None as an empty cell). JSON keys
+keep a fixed order. Loading a file and saving it again reproduces the bytes
+exactly, and a fixed-seed training run writes byte-identical output.
 """
 
 import copy
@@ -118,9 +119,14 @@ def save_json(doc, path: str) -> None:
 
 
 def save_csv(path: str, header: list, rows) -> None:
-    """Write a header and rows with csv.writer (CRLF line ends), rendered before opening."""
+    """Write a header and rows of values with csv.writer (CRLF line ends), rendered
+    before opening: a float as format_float writes it, -inf as -inf, None as empty."""
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return "-inf" if value == -np.inf else format_float(value)
+        return "" if value is None else value
     text = StringIO()
-    csv.writer(text).writerows(chain([header], rows))
+    csv.writer(text).writerows(map(cell, row) for row in chain([header], rows))
     _write(path, [text.getvalue()])
 
 
@@ -311,16 +317,20 @@ def _model_from(doc):
 def standardization_stats(dataset: SequenceDataset, per_node: bool = False) -> dict:
     """Pooled (or per-node) per-feature mean and standard deviation.
 
-    A feature whose spread is effectively zero cannot be standardized and is
-    reported by index in the error.
+    A feature whose spread is effectively zero, or whose mean or spread
+    overflows, cannot be standardized; the error names it by index.
     """
     def stats_of(frames: np.ndarray, where: str) -> dict:
-        mean = frames.mean(axis=0)
-        std = frames.std(axis=0)
+        with np.errstate(all="ignore"):  # an overflow leaves a non-finite std, refused below
+            mean, std = frames.mean(axis=0), frames.std(axis=0)
         bad = np.flatnonzero(std < 1e-12)
         if bad.size:
             raise ValueError(f"feature(s) {[int(b) for b in bad]} are constant {where}; "
                              f"cannot standardize")
+        bad = np.flatnonzero(~np.isfinite(std))
+        if bad.size:
+            raise ValueError(f"feature(s) {[int(b) for b in bad]} have a mean or spread "
+                             f"beyond float range {where}; cannot standardize")
         return {"mean": [float(v) for v in mean], "std": [float(v) for v in std]}
 
     if not per_node:
@@ -388,7 +398,8 @@ def apply_standardization(dataset: SequenceDataset, stats: dict) -> SequenceData
         if key not in checked:
             checked[key] = mean_std(stats, item.node, dataset.dim)
         mean, std = checked[key]
-        seq = (item.seq - mean) / std
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            seq = (item.seq - mean) / std
         if not np.all(np.isfinite(seq)):
             raise RecordError(i, "sequence contains non-finite values")
         items.append(item._replace(seq=seq))

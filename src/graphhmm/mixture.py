@@ -28,6 +28,8 @@ from .hmm import (GaussianHmm, _cdf, _draw, check_count, check_rows_normalized,
 # (pair, state, state) cells, whatever the state count.
 BLOCK_CELLS = 4096
 
+LABELS = ("normal", "anomalous")  # the dataset label vocabulary
+
 
 @dataclass
 class AffinityGraph:
@@ -72,7 +74,7 @@ class SequenceItem(NamedTuple):
 def check_record(node, seq, label=None, dim: int = None) -> SequenceItem:
     """One checked dataset record (dim: that of earlier records); callers prefix errors."""
     node = check_count(node, "'node'")
-    if label is not None and label not in ("normal", "anomalous"):
+    if label is not None and label not in LABELS:
         raise ValueError(f"'label' must be 'normal' or 'anomalous', got {label!r}")
     seq = validate_sequence(seq)
     if dim is not None and seq.shape[1] != dim:

@@ -55,6 +55,26 @@ class TestCanonicalJson:
         np.testing.assert_array_equal(parsed["values"], doc["values"])
 
 
+class TestCsv:
+    def test_cells_follow_the_number_rule(self, tmp_path):
+        p = tmp_path / "t.csv"
+        io.save_csv(str(p), ["a", "b", "c", "d", "e"],
+                    [(0.1, np.float64(2.0), -np.inf, None, 3), ("x", 1.0, 0.5, "", np.int64(7))])
+        assert p.read_bytes() == (b"a,b,c,d,e\r\n"
+                                  b"0.10000000000000001,2.0,-inf,,3\r\n"
+                                  b"x,1.0,0.5,,7\r\n")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, np.float64(np.inf)],
+                             ids=["nan", "inf", "float64-inf"])
+    def test_other_non_finite_cells_leave_the_file_intact(self, tmp_path, bad):
+        p = tmp_path / "t.csv"
+        io.save_csv(str(p), ["x"], [(1.0,)])
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="cannot serialize non-finite value"):
+            io.save_csv(str(p), ["x"], [(2.0,), (bad,)])
+        assert p.read_bytes() == before
+
+
 class TestDatasetIo:
     def test_roundtrip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -455,8 +475,16 @@ class TestStandardization:
     def test_overflow_on_apply_names_the_record(self):
         data = SequenceDataset([(1, np.zeros((2, 1))), (1, np.array([[1e308], [0.0]]))])
         with pytest.raises(ValueError, match="item 1: sequence contains non-finite values"):
-            with np.errstate(over="ignore"):
-                apply_standardization(data, {"per_node": False, "mean": [-1e308], "std": [1.0]})
+            apply_standardization(data, {"per_node": False, "mean": [-1e308], "std": [1.0]})
+
+    @pytest.mark.parametrize("per_node, where", [(False, "in the pooled data"),
+                                                 (True, "at node 1")])
+    def test_overflowing_spread_named_in_error(self, per_node, where):
+        seq = np.array([[1.0, 1.7e308], [2.0, -1.7e308], [3.0, 1.7e308]])
+        data = SequenceDataset([(1, seq)])
+        with pytest.raises(ValueError, match=rf"feature\(s\) \[1\] have a mean or spread "
+                                             rf"beyond float range {where}; cannot standardize"):
+            standardization_stats(data, per_node=per_node)
 
     def test_stats_must_be_an_object(self):
         data = SequenceDataset([(1, np.zeros((2, 1)))])

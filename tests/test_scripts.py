@@ -62,6 +62,22 @@ class TestGridSweep:
         assert all(np.isfinite(scores))
         assert "best: " in capsys.readouterr().out
 
+    def test_csv_floats_have_17_digits(self, grid_sweep, sweep_inputs, tmp_path):
+        train_path, _ = sweep_inputs
+        grid = {"num_components": 2, "num_states": 2, "outer_iters": 2,
+                "inner_iters": 5, "learning_rate": 0.1}
+        grid_path = str(tmp_path / "grid.json")
+        with open(grid_path, "w", encoding="utf-8") as fh:
+            json.dump(grid, fh)
+        out_path = str(tmp_path / "results.csv")
+        assert grid_sweep.main(["--train", train_path, "--val", train_path,
+                                "--grid", grid_path, "--out", out_path]) == 0
+        header, row = pathlib.Path(out_path).read_text(encoding="utf-8").splitlines()
+        row = dict(zip(header.split(","), row.split(",")))
+        assert row["learning_rate"] == "0.10000000000000001"
+        for key in ("lam", "sparsity", "mean_avg_ll"):
+            assert row[key] == io.format_float(float(row[key]))
+
     def test_training_warnings_go_to_stderr(self, grid_sweep, tmp_path, capsys):
         # node 2 has no sequences, so every EM iteration of each fit warns
         rng = np.random.default_rng(5)
