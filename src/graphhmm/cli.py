@@ -54,6 +54,14 @@ def _add(parser, flag, *, required=False, type=str, default=None, help="",
 
 
 def _cmd_train(args) -> int:
+    config = TrainConfig(lam=args.lam, outer_iters=args.outer_iters,
+                         inner_iters=args.inner_iters, learning_rate=args.lr,
+                         rng_seed=args.seed)
+    if args.graph is None and config.lam > 0.0:
+        raise ValueError(f"--lambda {config.lam:g} needs --graph; "
+                         "without a graph there is no graph term to weigh")
+    if args.graph is None and args.normalize_graph:
+        raise ValueError("--normalize-graph needs --graph")
     dataset = io.load_dataset(args.data)
     graph = None
     if args.graph is not None:
@@ -62,9 +70,6 @@ def _cmd_train(args) -> int:
     if args.standardize:
         stats = io.standardization_stats(dataset)
         dataset = io.apply_standardization(dataset, stats)
-    config = TrainConfig(lam=args.lam, outer_iters=args.outer_iters,
-                         inner_iters=args.inner_iters, learning_rate=args.lr,
-                         rng_seed=args.seed)
     init = InitSpec(num_components=args.components, num_states=args.states)
     result = fit(dataset, graph, config, init)
     metadata = {
@@ -89,8 +94,9 @@ def _cmd_train(args) -> int:
 
 def _finite_mean(values: list):
     """Mean of the finite values, or None when there are none."""
-    finite = [v for v in values if np.isfinite(v)]
-    return float(np.mean(finite)) if finite else None
+    values = np.array(values)
+    finite = values[np.isfinite(values)]
+    return float(np.mean(finite)) if finite.size else None
 
 
 def _cmd_score(args) -> int:
@@ -189,6 +195,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_standardize(args) -> int:
+    if args.stats_in and args.per_node:
+        raise ValueError("--per-node cannot be used with --stats-in, "
+                         "whose file already says whether the stats are per node")
     dataset = io.load_dataset(args.data)
     if args.stats_in:
         stats = io.load_stats(args.stats_in)

@@ -47,20 +47,19 @@ def roc_auc(scores: list):
     (fpr, tpr) points from (0, 0) to (1, 1). One sort and two running counts
     give every point, so the cost is O(N log N).
     """
-    values = []
-    labels = []
-    for i, (score, label) in enumerate(scores):
-        if label not in LABELS:
+    values = np.array([score for score, _ in scores])
+    known = np.array([label in LABELS for _, label in scores], dtype=bool)
+    bad = np.flatnonzero(~known | ~(np.isfinite(values) | (values == -np.inf)))
+    if bad.size:  # the first bad item, its label before its score
+        i = int(bad[0])
+        score, label = scores[i]
+        if not known[i]:
             raise ValueError(f"scores[{i}]: label must be 'normal' or 'anomalous', "
                              f"got {label!r}")
-        if not (np.isfinite(score) or score == -np.inf):
-            raise ValueError(f"scores[{i}]: score must be finite or -inf, got {score!r}")
-        values.append(float(score))
-        labels.append(label)
-    values = np.array(values)
-    anom = np.array([lab == ANOMALOUS for lab in labels])
+        raise ValueError(f"scores[{i}]: score must be finite or -inf, got {score!r}")
+    anom = np.array([label == ANOMALOUS for _, label in scores], dtype=bool)
     n_anom = int(anom.sum())
-    n_norm = len(labels) - n_anom
+    n_norm = values.size - n_anom
     if n_anom == 0 or n_norm == 0:
         raise ValueError("roc_auc needs at least one normal and one anomalous score")
     order = np.argsort(values, kind="stable")

@@ -4,10 +4,10 @@ Given a prefix observed at a node, only two things change relative to the
 prior model: the component weights become the posterior responsibilities of
 the prefix, and each component's initial-state distribution becomes its
 smoothed state posterior at the prefix's final timestep. Transition and
-emission parameters are untouched. This module computes only that
-conditioning. Conditioning and scoring a continuation run the mixture's own
-live-pair driver, the latter with the conditioned weights and initials, and
-sampling runs the HMM's own ancestral sampler from the conditioned states.
+emission parameters are untouched, so the conditioned model is a one-node
+mixture of the same dictionary. This module computes that conditioning with
+the mixture's live-pair driver; a continuation's score is the conditioned
+mixture's own likelihood, and sampling runs the HMM's ancestral sampler.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .hmm import GaussianHmm, _cdf, _chains, _draw, check_count, validate_sequence
-from .mixture import SparseMixtureModel, _end_rows, _live_pairs, check_node
+from .mixture import SparseMixtureModel, _end_rows, _live_pairs, check_node, mixture_log_likelihood
 
 
 @dataclass
@@ -25,9 +25,9 @@ class PosteriorModel:
 
     components is the model's stack, shared. weights[m] = P(component m |
     prefix, node); conditional_initials[m] is that component's state
-    distribution at the prefix end. Components with
-    weight exactly zero carry a uniform placeholder row and are flagged in
-    ``inert``; they are skipped by scoring and never sampled.
+    distribution at the prefix end. Components with weight exactly zero carry
+    a uniform placeholder row and are flagged in ``inert``; they are skipped
+    by scoring and never sampled.
     """
 
     components: GaussianHmm
@@ -45,41 +45,38 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
 
     The last forward row of each live component gives both: the end state
     posterior is exp(log_alpha[T] - log_like), as the backward table is
-    exactly zero at t = T. The weights come from the live-pair driver's
-    M-wide log-weight row. The node's live components form one block of
-    kernels.forward_ends, so a short prefix under a few small components
-    costs about ceil(log2 T) stacked matrix products, not T forward steps.
+    exactly zero at t = T. The weights are the live-pair driver's M-wide
+    log-weight row, the initials read from its blocks. The node's live
+    components form one kernels.forward_ends block, so a short prefix costs
+    about ceil(log2 T) stacked matrix products, not T forward steps.
     """
     node = check_node(node, model.num_nodes)
     prefix = validate_sequence(prefix, model.dim)
     log_w, blocks = _live_pairs(model.components, model.alpha[node - 1:node], [prefix],
                                 _end_rows)
-    end = np.full((model.num_components, model.num_states), -np.inf)
-    comp_ll = np.full(model.num_components, -np.inf)
-    for _, comp, (block_end, ll) in blocks:
-        end[comp], comp_ll[comp] = block_end, ll
     total = float(kernels.logsumexp(log_w[0]))
     if total == -np.inf:
         raise ValueError("prefix has zero likelihood under every component")
     weights = np.exp(log_w[0] - total)
     inert = weights == 0.0
-    initials = np.full(end.shape, 1.0 / model.num_states)
-    initials[~inert] = np.exp(end[~inert] - comp_ll[~inert, None])
+    initials = np.full((model.num_components, model.num_states), 1.0 / model.num_states)
+    for _, comp, (end, ll) in blocks:
+        live = ~inert[comp]
+        initials[comp[live]] = np.exp(end[live] - ll[live, None])
     return PosteriorModel(components=model.components, weights=weights,
                           conditional_initials=initials, inert=inert)
 
 
 def predictive_log_likelihood(posterior: PosteriorModel, continuation: np.ndarray) -> float:
-    """log p(continuation | prefix, node) under the conditioned mixture.
+    """log p(continuation | prefix, node): the conditioned mixture's own likelihood.
 
-    The same M-wide sum, bit for bit, as mixture_log_likelihood of the conditioned mixture.
+    Its initial rows are the conditional initials and its one row the weights.
     """
-    continuation = validate_sequence(continuation, posterior.dim)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(posterior.conditional_initials)
-    log_w, _ = _live_pairs(posterior.components, posterior.weights[None], [continuation],
-                           _end_rows, log_init)
-    return float(kernels.logsumexp(log_w[0]))
+    comps = posterior.components
+    conditioned = GaussianHmm(posterior.conditional_initials, comps.transition, comps.means,
+                              comps.variances)
+    return mixture_log_likelihood(SparseMixtureModel(conditioned, posterior.weights[None]),
+                                  continuation, 1)
 
 
 def forecast_mean(model: SparseMixtureModel, prefix: np.ndarray, node: int,

@@ -22,6 +22,7 @@ import csv
 from io import StringIO
 from itertools import chain
 import json
+import math
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def _point(s: str) -> str:
 def format_float(x: float) -> str:
     """17-significant-digit rendering that roundtrips exactly and always
     reparses as a float (a decimal point is forced onto integral values)."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return _point(format(float(x), ".17g"))
 

@@ -9,9 +9,9 @@ which can drive coefficients exactly to zero.
 Node ids are 1-based throughout the public API, matching the file formats;
 component indices returned to callers (sampling traces, cluster labels)
 are 1-based as well. The dictionary is one GaussianHmm stack with a leading
-component axis. The E-step, dataset and single-sequence scoring, forecast
-conditioning and predictive scoring all run one driver, _live_pairs, over live
-(sequence, component) pairs, each summing one M-wide log-weight row per record.
+component axis. One driver, _live_pairs, runs the E-step, forecast conditioning
+and dataset and single-sequence scoring (predictive scoring is the latter on the
+conditioned mixture) over live (sequence, component) pairs.
 """
 
 from dataclasses import dataclass
@@ -308,16 +308,14 @@ def _live_pair_blocks(weights: np.ndarray, seqs: list, num_states: int):
             yield run_seq[start:start + size], run_comp[start:start + size]
 
 
-def _live_pairs(components: GaussianHmm, weights: np.ndarray, seqs: list, kernel,
-                log_init: np.ndarray = None):
+def _live_pairs(components: GaussianHmm, weights: np.ndarray, seqs: list, kernel):
     """Run kernel on every block of live pairs of weights (N, M); return (log_w, blocks).
 
     Each block of _live_pair_blocks takes one kernel(log_pi, log_a, log_obs)
-    call on its pairs' parameters and pair_log_densities, starting from
-    log_init (M, S) when given, else from the components' initial
-    distributions. The kernel's last output is each pair's log-likelihood
-    ll, so log_w[i, m] = log weights[i, m] + ll for a live pair and -inf
-    for any other. blocks holds (seq, comp, kernel output) per block.
+    call on its pairs' components' initial and transition rows and
+    pair_log_densities. The kernel's last output is each pair's log-likelihood
+    ll, so log_w[i, m] = log weights[i, m] + ll for a live pair and -inf for
+    any other. blocks holds (seq, comp, kernel output) per block.
     """
     log_w = np.full(weights.shape, -np.inf)
     blocks = []
@@ -325,7 +323,7 @@ def _live_pairs(components: GaussianHmm, weights: np.ndarray, seqs: list, kernel
         # gather only the two parameter arrays the kernel reads, not components[comp]'s four
         with np.errstate(divide="ignore"):
             log_a = np.log(components.transition[comp])
-            log_pi = np.log(components.initial[comp]) if log_init is None else log_init[comp]
+            log_pi = np.log(components.initial[comp])
         out = kernel(log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
         log_w[seq, comp] = np.log(weights[seq, comp]) + out[-1]
         blocks.append((seq, comp, out))

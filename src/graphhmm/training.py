@@ -16,6 +16,7 @@ total data log-likelihood in plain mode, and mean data log-likelihood plus
 the weighted graph term in regularized mode. Nothing here logs.
 """
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -506,7 +507,8 @@ def fit_single_hmm(dataset: SequenceDataset, config: TrainConfig, num_states: in
     every node row is the one-hot on that single component."""
     k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
     check_node(dataset.max_node, k)
-    pooled = SequenceDataset([(1, item.seq, item.label) for item in dataset.items])
+    pooled = copy.copy(dataset)  # the records were checked once; relabel, do not recheck
+    pooled.items = [item._replace(node=1) for item in dataset.items]
     result = fit(pooled, None, config, InitSpec(1, num_states, 1))
     single = result.model.components[0]
     model = SparseMixtureModel([single], np.ones((k, 1)))
@@ -521,10 +523,11 @@ def fit_per_node(dataset: SequenceDataset, config: TrainConfig, num_states: int,
     check_node(dataset.max_node, k)
     components, objectives, warnings = [], [], []
     for node in range(1, k + 1):
-        sub_items = [(1, item.seq, item.label) for item in dataset.items if item.node == node]
-        if not sub_items:
+        sub = copy.copy(dataset)
+        sub.items = [item._replace(node=1) for item in dataset.items if item.node == node]
+        if not sub.items:
             raise ValueError(f"node {node}: per-node baseline needs at least one sequence")
-        result = fit(SequenceDataset(sub_items), None, config, InitSpec(1, num_states, 1))
+        result = fit(sub, None, config, InitSpec(1, num_states, 1))
         components.append(result.model.components[0])
         objectives.append(result.objectives)
         warnings.extend(result.warnings)

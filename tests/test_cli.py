@@ -183,6 +183,19 @@ class TestTrain:
         assert "must be finite" in capsys.readouterr().err
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("flags", [["--lambda", "0.5"], ["--normalize-graph"]],
+                             ids=["lambda", "normalize-graph"])
+    def test_graph_flag_without_graph_refused(self, tmp_path, monkeypatch, capsys, flags):
+        # without a graph these flags have no graph term to act on; the missing data
+        # file shows that the refusal comes before anything is read
+        monkeypatch.setattr("graphhmm.cli.fit", lambda *a: pytest.fail("fit ran"))
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(tmp_path / "nope.jsonl"), "--components", "2",
+                     "--states", "2", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err and "--graph" in err
+        assert not out.exists() and not (tmp_path / "m.json.train.csv").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope.jsonl"), "--components",
                      "2", "--states", "2", "--out", str(tmp_path / "m.json")]) == 1
@@ -427,6 +440,16 @@ class TestStandardize:
                      "--per-node"]) == 0
         for item in io.load_dataset(str(out)).items:
             np.testing.assert_allclose(item.seq.mean(), 0.0, rtol=0, atol=1e-12)
+
+    def test_per_node_with_stats_in_refused(self, tmp_path, capsys):
+        # the stats file decides pooled or per node, so --per-node has nothing to act on;
+        # neither input exists, so the refusal comes before anything is read
+        out = tmp_path / "std.jsonl"
+        assert main(["standardize", "--data", str(tmp_path / "nope.jsonl"), "--out", str(out),
+                     "--stats-in", str(tmp_path / "stats.json"), "--per-node"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--per-node" in err and "--stats-in" in err
+        assert not out.exists()
 
 
 BAD_STATS = {

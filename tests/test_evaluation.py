@@ -131,6 +131,18 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="finite"):
             roc_auc([(np.inf, "normal"), (-2.0, "anomalous")])
 
+    @pytest.mark.parametrize("scores, message", [
+        ([(-1.0, "normal"), (np.nan, "weird"), (np.inf, "normal")],
+         r"scores\[1\]: label must be 'normal' or 'anomalous', got 'weird'"),
+        ([(-1.0, "normal"), (np.inf, "anomalous"), (-2.0, "weird")],
+         r"scores\[1\]: score must be finite or -inf, got inf"),
+    ], ids=["bad-label-and-score", "bad-score"])
+    def test_first_bad_item_named_label_first(self, scores, message):
+        # the whole list is checked at once; the message still names the first
+        # bad item, and for that item its label before its score
+        with pytest.raises(ValueError, match=message):
+            roc_auc(scores)
+
     def test_zero_likelihood_ranks_most_anomalous(self):
         scores = [(-1.0, "normal"), (-np.inf, "anomalous"), (-2.0, "anomalous"),
                   (-3.0, "normal")]

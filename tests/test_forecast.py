@@ -95,6 +95,21 @@ class TestCondition:
         assert bool(post.inert[1]) and not bool(post.inert[0])
         np.testing.assert_array_equal(post.conditional_initials[1], [0.5, 0.5])
 
+    def test_live_component_whose_weight_underflows_is_inert(self):
+        # component 2 is live (alpha > 0) and its prefix likelihood is finite,
+        # about exp(-5e11), but its posterior weight underflows to exactly 0;
+        # its end-state posterior, near one-hot, must not replace the placeholder
+        rng = np.random.default_rng(9)
+        far = GaussianHmm([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [[1e6], [1e6 + 1.0]],
+                          [[1.0], [1.0]])
+        model = SparseMixtureModel([random_hmm(rng, 2, 1), far], [[0.5, 0.5]])
+        prefix = rng.normal(size=(3, 1))
+        assert np.isfinite(log_likelihood(far, prefix))
+        post = condition(model, prefix, 1)
+        assert post.weights[1] == 0.0
+        assert bool(post.inert[1]) and not bool(post.inert[0])
+        np.testing.assert_array_equal(post.conditional_initials[1], [0.5, 0.5])
+
     def test_impossible_prefix_rejected(self):
         rng = np.random.default_rng(3)
         model = make_mixture(rng)
@@ -172,6 +187,14 @@ class TestPredictiveLikelihood:
                             comps.variances), post.weights[None])
             assert predictive_log_likelihood(post, cont) == \
                 mixture_log_likelihood(conditioned, cont, 1)
+
+    def test_unnormalized_conditional_initials_refused(self):
+        # a hand-built posterior is checked as the conditioned mixture it stands for
+        rng = np.random.default_rng(10)
+        post = condition(make_mixture(rng, m=2, s=2), rng.normal(size=(3, 1)), 1)
+        post.conditional_initials = post.conditional_initials * 1.5
+        with pytest.raises(ValueError, match="initial rows must sum to 1"):
+            predictive_log_likelihood(post, rng.normal(size=(2, 1)))
 
     def test_single_state_prefix_is_uninformative(self):
         # with one state the conditioned initial equals the prior initial,

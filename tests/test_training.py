@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphhmm import kernels, training
+from graphhmm import kernels, mixture, training
 from graphhmm.hmm import VARIANCE_FLOOR, GaussianHmm
 from graphhmm.mixture import (AffinityGraph, MixtureSufficientStats, SequenceDataset,
                               SparseMixtureModel, mixture_log_likelihood, mixture_posteriors,
@@ -669,6 +669,23 @@ class TestBaselines:
             fit_per_node(data, config, num_states=2, num_nodes=2)
         with pytest.raises(ValueError, match=message):
             fit(data, None, config, InitSpec(2, 2, num_nodes=2))
+
+    def test_records_are_not_checked_again(self, monkeypatch):
+        # the dataset checked its records when it was built; both baselines
+        # relabel them onto node 1 without running check_record a second time
+        rng = np.random.default_rng(25)
+        data = small_dataset(rng, [1, 2, 1, 2], [8, 8, 8, 8])
+        calls, check = [], mixture.check_record
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+        monkeypatch.setattr(mixture, "check_record", counted)
+        single = fit_single_hmm(data, TrainConfig(outer_iters=2), num_states=2)
+        per_node = fit_per_node(data, TrainConfig(outer_iters=2), num_states=2)
+        assert calls == []
+        assert single.model.num_nodes == per_node.model.num_nodes == 2
+        assert [item.node for item in data.items] == [1, 2, 1, 2]  # the input is untouched
 
 
 class TestConfigValidation:
