@@ -1,11 +1,12 @@
 """Scoring, anomaly-detection metrics, sparsity, and node clustering."""
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .hmm import check_real
+from .hmm import _shown, check_real
 from .mixture import LABELS, SequenceDataset, SparseMixtureModel, mixture_log_likelihoods
 
 NORMAL, ANOMALOUS = LABELS
@@ -43,11 +44,13 @@ def roc_auc(scores: list):
     the trapezoidal area counts them at half weight. Both classes must be
     present. A score of -inf (a record with zero likelihood) ranks as the
     most anomalous; tied -inf scores move as one step like any other tie.
-    NaN and +inf raise. Returns (curve, auc) where curve is a list of
-    (fpr, tpr) points from (0, 0) to (1, 1). One sort and two running counts
-    give every point, so the cost is O(N log N).
+    NaN, +inf and a score that is not a real number (a bool is not one)
+    raise. Returns (curve, auc) where curve is a list of (fpr, tpr) points
+    from (0, 0) to (1, 1). One sort and two running counts give every
+    point, so the cost is O(N log N).
     """
-    values = np.array([score for score, _ in scores])
+    values = np.array([score if type(score) is float else _real(score) for score, _ in scores],
+                      dtype=np.float64)
     known = np.array([label in LABELS for _, label in scores], dtype=bool)
     bad = np.flatnonzero(~known | ~(np.isfinite(values) | (values == -np.inf)))
     if bad.size:  # the first bad item, its label before its score
@@ -56,7 +59,7 @@ def roc_auc(scores: list):
         if not known[i]:
             raise ValueError(f"scores[{i}]: label must be 'normal' or 'anomalous', "
                              f"got {label!r}")
-        raise ValueError(f"scores[{i}]: score must be finite or -inf, got {score!r}")
+        raise ValueError(f"scores[{i}]: score must be finite or -inf, got {_shown(score)}")
     anom = np.array([label == ANOMALOUS for _, label in scores], dtype=bool)
     n_anom = int(anom.sum())
     n_norm = values.size - n_anom
@@ -73,6 +76,16 @@ def roc_auc(scores: list):
     curve = list(zip(fprs.tolist(), tprs.tolist()))
     auc = float(_trapezoid(tprs, fprs))
     return curve, auc
+
+
+def _real(score) -> float:
+    """score as a float, or nan, which roc_auc refuses, for a bool or a non-real."""
+    if isinstance(score, bool) or not isinstance(score, numbers.Real):
+        return np.nan
+    try:
+        return float(score)
+    except OverflowError:  # an int beyond float range is not finite
+        return np.nan
 
 
 def relative_sparsity(model: SparseMixtureModel, threshold: float = 0.0) -> float:

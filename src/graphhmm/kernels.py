@@ -13,23 +13,26 @@ E-step. ``pair_posteriors`` runs the scaled forward-backward (Rabiner 1989,
 the row's sum, beta_{t-1} = A (e_t * beta_t) / c_t, gamma = alpha * beta,
 counts A * sum_t alpha_{t-1}^T (e_t * beta_t / c_t) and log p = sum_t (log
 c_t + m_t) plus the initial row's shift, so every step is a stacked matmul.
-A pair takes the log form (``forward_pairs``, ``backward_pairs`` and
-``_xi_chunk``) when it has zero likelihood, a value of it overflows (only
-off alpha's support), or an entry of its alpha that the log form has finite
-falls below TREE_FLOOR = 2**-900 before it is divided by c_t; the pairs of
-a block that fail run in log form together, and a block where all fail
-runs in log form whole. Every entry of a pair that passes is a sum of
-terms of at least TREE_FLOOR, where a term lost to underflow moves it by
-less than S * 2**-122 relative, and alpha is zero exactly where the log
-form is -inf: exact zeros of A and pi stay exact.
+Time runs in chunks of CHUNK_CELLS (pair, t, state) cells: e_t and beta are
+held one chunk at a time, and gamma is written over alpha, so a block holds
+two (T, B, S) tables, its input and alpha. A pair takes the log form
+(``forward_pairs``, ``backward_pairs`` and ``_xi_chunk``) when it has zero
+likelihood, a value of it overflows (only off alpha's support), or an entry
+of its alpha that the log form has finite falls below TREE_FLOOR = 2**-900
+before it is divided by c_t; the pairs of a block that fail run in log form
+together, and a block where all fail runs in log form whole. Every entry of
+a pair that passes is a sum of terms of at least TREE_FLOOR, where a term
+lost to underflow moves it by less than S * 2**-122 relative, and alpha is
+zero exactly where the log form is -inf: exact zeros of A and pi stay
+exact.
 
 End rows. Scoring and forecasting read only each pair's last forward row,
-which ``forward_ends`` returns: from the log form or, where the cost model
-``forward_uses_tree`` picks it, as a log-depth product of rescaled step
-matrices behind the same floor, taken in time chunks of at most TREE_CELLS
-cells (``_tree_ends``; the associative scan of Sarkka and Garcia-Fernandez,
-"Temporal parallelization of Bayesian smoothers", 2021, reduced to its last
-element).
+which ``forward_ends`` returns: from the log form, which keeps one row, or,
+where the cost model ``forward_uses_tree`` picks it, as a log-depth product
+of rescaled step matrices behind the same floor, taken in time chunks of at
+most TREE_CELLS cells (``_tree_ends``; the associative scan of Sarkka and
+Garcia-Fernandez, "Temporal parallelization of Bayesian smoothers", 2021,
+reduced to its last element).
 
 Conventions: a sequence of length T has hidden states at t = 0..T, and the
 state at t = 0 emits nothing. ``log_obs`` therefore has T rows (row t - 1
@@ -41,10 +44,12 @@ epsilon, so structural zeros survive roundtrips.
 import numpy as np
 
 _LOWEST = np.finfo(np.float64).min
-# Cells of one chunk of a per-timestep temporary: (pair, t, state[, state])
-# cells of the transition counts, (pair, t, state, dim) cells of the
-# variance sums in training and (pair, t, state) cells of each per-feature
-# temporary of one batched density call (mixture.pair_log_densities).
+# Cells of one chunk of a per-timestep temporary: (pair, t, state) cells of
+# the scaled E-step's emission and beta buffers, which also set the time
+# chunk of its transition counts, (pair, t, state, state) cells of the log
+# form's counts, (pair, t, state, dim) cells of the variance sums in
+# training and (pair, t, state) cells of each per-feature temporary of one
+# batched density call (mixture.pair_log_densities).
 CHUNK_CELLS = 32768
 # forward_uses_tree's cost model in log-form cells, measured on a 2-core
 # x86-64 host (numpy 2.4, OpenBLAS on one thread), where a cell took 6-10 ns:
@@ -84,13 +89,24 @@ def forward_pairs(log_pi, log_a, log_obs):
     view of a time-major (T + 1, B, S) array.
     """
     b_count, t_len, s_count = log_obs.shape
-    step = _log_step(log_a.swapaxes(1, 2))
-    obs = np.ascontiguousarray(log_obs.transpose(1, 0, 2))
     la = np.empty((t_len + 1, b_count, s_count))
     la[0] = log_pi
-    for t in range(1, t_len + 1):
-        la[t] = step(la[t - 1]) + obs[t - 1]
+    for t, row in enumerate(_forward_rows(log_pi, log_a, log_obs), 1):
+        la[t] = row
     return la.transpose(1, 0, 2)
+
+
+def _forward_rows(log_pi, log_a, log_obs):
+    """The log-form forward rows t = 1..T, each (B, S), one at a time.
+
+    Each row is a new array made from the one before it, so a caller that
+    keeps only the last holds no table, and log_obs is read in place.
+    """
+    step = _log_step(log_a.swapaxes(1, 2))
+    row = np.ascontiguousarray(log_pi, dtype=np.float64)
+    for obs_t in log_obs.transpose(1, 0, 2):
+        row = step(row) + obs_t
+        yield row
 
 
 def forward_uses_tree(b_count: int, t_len: int, s_count: int) -> bool:
@@ -126,19 +142,21 @@ def _tree_product(log_a, log_obs):
     shift = np.maximum(logs.max(axis=(2, 3)), _LOWEST)
     logs -= shift[:, :, None, None]
     mats = np.exp(logs, out=logs)
-    if mats.min() < TREE_FLOOR:
+    if np.minimum.reduce(mats, axis=None) < TREE_FLOOR:
         return None
     scale = shift.sum(axis=1)
+    # one loop pass per level of every forecast: the ufunc reductions skip
+    # the min, max and sum wrappers around them
     while mats.shape[1] > 1:
         count = mats.shape[1]
         prod = np.matmul(mats[:, 0:count - 1:2], mats[:, 1:count:2])
         if count % 2:
             prod[:, -1] = np.matmul(prod[:, -1], mats[:, -1])
-        if prod.min() < TREE_FLOOR:
+        if np.minimum.reduce(prod, axis=None) < TREE_FLOOR:
             return None
-        top = prod.max(axis=(2, 3), keepdims=True)
+        top = np.maximum.reduce(prod, axis=(2, 3), keepdims=True)
         mats = prod / top
-        scale += np.log(top).sum(axis=(1, 2, 3))
+        scale += np.add.reduce(np.log(top), axis=(1, 2, 3))
     return mats[:, 0], scale
 
 
@@ -181,13 +199,16 @@ def forward_ends(log_pi, log_a, log_obs):
 
     Takes the same arguments as forward_pairs. The tree form runs where
     forward_uses_tree picks it and its TREE_FLOOR guard holds; otherwise
-    the result is forward_pairs' last row.
+    the last of forward_pairs' rows, stepped without a table.
     """
     if forward_uses_tree(*log_obs.shape):
         end = _tree_ends(log_pi, log_a, log_obs)
         if end is not None:
             return end
-    return forward_pairs(log_pi, log_a, log_obs)[:, -1].copy()  # frees the tables
+    end = np.array(log_pi, dtype=np.float64)
+    for end in _forward_rows(log_pi, log_a, log_obs):
+        pass
+    return end
 
 
 def _log_step(log_a):
@@ -254,10 +275,17 @@ def _scaled_posteriors(log_pi, log_a, log_obs):
     None when every pair fails. The guard is checked pair by pair, and no
     step mixes pairs, so a failed pair's entries, whatever they hold, move
     no other pair's. Tables are time-major; scale holds c_t, c_0 the shifted
-    initial row's sum. Both recursions step on the (B, S, 1) column views
-    that zip hands out, so a step indexes no table; the forward sums use
-    np.add.reduce, which np.sum wraps. In place, e becomes e_t * beta_t /
-    c_t and beta becomes gamma.
+    initial row's sum. Time runs in chunks of C = CHUNK_CELLS // (B * S)
+    steps. The emissions e_t of a chunk are exponentiated into one (C, B, S)
+    buffer on the way forward and again on the way back, where the top
+    chunk's are still in it. Beta lives in a (C + 1, B, S) buffer whose top
+    row carries beta at the chunk's end down to the next. Both recursions
+    step on the (B, S, 1) column views that zip hands out, so a step
+    indexes no table; the forward sums use np.add.reduce, which np.sum
+    wraps. In place, e becomes e_t * beta_t / c_t, and alpha becomes gamma
+    chunk by chunk once the chunk's counts are taken (row T is alpha_T, as
+    beta_T = 1). The counts of the chunks are added in ascending time, so
+    only the input and alpha are (T, B, S) tables.
     """
     b_count, t_len, s_count = log_obs.shape
     obs = log_obs.transpose(1, 0, 2)
@@ -268,46 +296,66 @@ def _scaled_posteriors(log_pi, log_a, log_obs):
     failed = ((alpha[0] < TREE_FLOOR) & (log_pi > -np.inf)).any(axis=1)
     if failed.all():
         return None
-    e, a = np.exp(obs - shift), np.exp(log_a)
+    a = np.exp(log_a)
     a_to = np.ascontiguousarray(a.swapaxes(1, 2))  # a_to[b, u, s] = a[b, s, u]
     scale = np.empty((t_len + 1, b_count, 1))
-    alpha_col, e_col = alpha[..., None], e[..., None]  # (B, S, 1) views as they iterate
+    chunk = min(t_len, max(1, CHUNK_CELLS // (b_count * s_count)))
+    starts = range(0, t_len, chunk)
+    e, beta = np.empty((chunk, b_count, s_count)), np.empty((chunk + 1, b_count, s_count))
+    alpha_col, e_col, beta_col = alpha[..., None], e[..., None], beta[..., None]
+
+    def emissions(start, stop):  # e_t = exp(log_obs_t - m_t) for t - 1 = start..stop - 1
+        here = e[:stop - start]
+        np.subtract(obs[start:stop], shift[start:stop], out=here)
+        np.exp(here, out=here)
+
     # a zero c_t, and what follows from it in a failed pair, fails the guard
     with np.errstate(divide="ignore", invalid="ignore"):
         np.add.reduce(alpha[0], axis=1, keepdims=True, out=scale[0])
         alpha[0] /= scale[0]
-        for prev, col, e_t, c in zip(alpha_col, alpha_col[1:], e_col, scale[1:, :, :, None]):
-            np.matmul(a_to, prev, out=col)
-            col *= e_t
-            np.add.reduce(col, axis=1, keepdims=True, out=c)
-            col /= c
+        for start in starts:
+            stop = min(start + chunk, t_len)
+            emissions(start, stop)
+            for prev, col, e_t, c in zip(alpha_col[start:stop], alpha_col[start + 1:stop + 1],
+                                         e_col, scale[start + 1:stop + 1, :, :, None]):
+                np.matmul(a_to, prev, out=col)
+                col *= e_t
+                np.add.reduce(col, axis=1, keepdims=True, out=c)
+                col /= c
+            # below the floor before division, and reachable with a finite
+            # density, so finite in log form
+            low = alpha[start + 1:stop + 1] < TREE_FLOOR / scale[start + 1:stop + 1]
+            if low.any():
+                live = (alpha[start:stop] > 0.0).transpose(1, 0, 2).astype(np.float32)
+                reach = np.matmul(live, (log_a > -np.inf).astype(np.float32)).transpose(1, 0, 2)
+                failed |= (low & (reach > 0.0) & (obs[start:stop] > -np.inf)).any(axis=(0, 2))
         failed |= ~(scale > 0.0).all(axis=(0, 2))  # a pair at zero likelihood
-        low = alpha[1:] < TREE_FLOOR / scale[1:]  # below the floor before division
-    if low.any():  # and reachable with a finite density, so finite in log form
-        reach = np.matmul((alpha[:-1] > 0.0).transpose(1, 0, 2).astype(np.float32),
-                          (log_a > -np.inf).astype(np.float32)).transpose(1, 0, 2)
-        failed |= (low & (reach > 0.0) & (obs > -np.inf)).any(axis=(0, 2))
     if failed.all():
         return None
-    beta, counts = np.empty((t_len + 1, b_count, s_count)), np.zeros((b_count, s_count, s_count))
-    beta[t_len] = 1.0
-    beta_col = beta[..., None]
-    chunk = max(1, CHUNK_CELLS // (b_count * s_count))
+    parts = []
     # overflows off alpha's support, and a failed pair's zero c_t, are caught below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e /= scale[1:]
-        for col, ahead, here in zip(e_col[::-1], beta_col[:0:-1], beta_col[-2::-1]):
-            col *= ahead  # t runs from T down to 1: e_t, beta_t and beta_{t-1}
-            np.matmul(a, col, out=here)
-        for start in range(0, t_len, chunk):
+        for start in reversed(starts):
             stop = min(start + chunk, t_len)
-            counts += np.matmul(alpha[start:stop].transpose(1, 2, 0),
-                                e[start:stop].transpose(1, 0, 2))
+            n = stop - start
+            if stop == t_len:
+                beta[n] = 1.0
+            else:
+                emissions(start, stop)
+                beta[n] = beta[0]
+            e[:n] /= scale[start + 1:stop + 1]
+            for col, ahead, here in zip(e_col[n - 1::-1], beta_col[n:0:-1], beta_col[n - 1::-1]):
+                col *= ahead  # t runs from stop down to start + 1: e_t, beta_t and beta_{t-1}
+                np.matmul(a, col, out=here)
+            parts.append(np.matmul(alpha[start:stop].transpose(1, 2, 0), e[:n].transpose(1, 0, 2)))
+            alpha[start:stop] *= beta[:n]
+        counts = np.zeros((b_count, s_count, s_count))
+        for part in reversed(parts):
+            counts += part
         counts *= a
         failed |= ~(np.isfinite(counts).all(axis=(1, 2)) & np.isfinite(beta[0]).all(axis=1))
-        beta *= alpha
         ll = np.log(scale[:, :, 0]).sum(axis=0) + shift[:, :, 0].sum(axis=0) + pi_shift[:, 0]
-    return None if failed.all() else (beta.transpose(1, 0, 2), counts, ll, failed)
+    return None if failed.all() else (alpha.transpose(1, 0, 2), counts, ll, failed)
 
 
 def _log_posteriors(log_pi, log_a, log_obs):

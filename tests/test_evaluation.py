@@ -136,7 +136,13 @@ class TestRocAuc:
          r"scores\[1\]: label must be 'normal' or 'anomalous', got 'weird'"),
         ([(-1.0, "normal"), (np.inf, "anomalous"), (-2.0, "weird")],
          r"scores\[1\]: score must be finite or -inf, got inf"),
-    ], ids=["bad-label-and-score", "bad-score"])
+        ([(-1.0, "normal"), (None, "anomalous"), (-2.0, "weird")],
+         r"scores\[1\]: score must be finite or -inf, got None"),
+        ([(-1.0, "normal"), ("0.5", "anomalous"), (None, "weird")],
+         r"scores\[1\]: score must be finite or -inf, got '0\.5'"),
+        ([(-1.0, "normal"), (True, "anomalous")],  # a bool is not a score, as in check_real
+         r"scores\[1\]: score must be finite or -inf, got True"),
+    ], ids=["bad-label-and-score", "bad-score", "none-score", "string-score", "bool-score"])
     def test_first_bad_item_named_label_first(self, scores, message):
         # the whole list is checked at once; the message still names the first
         # bad item, and for that item its label before its score

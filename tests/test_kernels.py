@@ -1,5 +1,7 @@
 """The recursion kernels must keep -inf exact and never produce nan, in every step form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -311,3 +313,36 @@ class TestForwardEnds:
         monkeypatch.undo()
         assert dims and max(dims) < 4
         np.testing.assert_array_equal(end, reference)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates, its result included, beyond its inputs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The kernels hold no table they do not return. A table is one
+    (T + 1, B, S) float64 array, the size of gamma or of the input."""
+
+    @pytest.mark.parametrize("shape", [(4, 5000, 8), (12, 1500, 16)])
+    def test_scaled_posteriors_hold_two_tables(self, shape):
+        # the input and alpha, which becomes gamma; the emissions and beta
+        # live in time chunks of CHUNK_CELLS (pair, t, state) cells
+        b_count, t_len, s_count = shape
+        assert kernels.CHUNK_CELLS // (b_count * s_count) < t_len  # several chunks
+        block = dense_block(*shape, 3)
+        table = (t_len + 1) * b_count * s_count * 8
+        assert traced_peak(kernels.pair_posteriors, *block) < 2 * table
+
+    def test_log_form_end_rows_keep_one_row(self, monkeypatch):
+        b_count, t_len, s_count = 4, 5000, 8
+        block = dense_block(b_count, t_len, s_count, 4)
+        monkeypatch.setattr(kernels, "forward_uses_tree", lambda b, t, s: False)
+        table = (t_len + 1) * b_count * s_count * 8
+        assert traced_peak(kernels.forward_ends, *block) < table / 2

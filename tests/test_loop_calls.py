@@ -1,15 +1,16 @@
 """No numpy reduction wrapper runs inside the hottest sequential loops.
 
 kernels._scaled_posteriors steps the E-step's recursions once per
-timestep, training._kmeans runs Lloyd's iterations, and hmm._chains draws
-one sampler step per forecast step, all on arrays so small that numpy's
-per-call cost, not the arithmetic, sets their speed. np.sum and np.mean
-add a Python wrapper around the ufunc reduction they run (np.sum took
-about twice np.add.reduce's time on one fit-long row), and argmin over the
-first axis of k-means' (k, N) table copies the table. This scan fails when
-a sum, mean or argmin call, as a numpy function or as an array method,
-sits inside a for or while loop of any of these functions, so that the
-cost cannot creep back unseen.
+timestep, kernels._tree_product multiplies one tree level of every
+forecast's step matrices, training._kmeans runs Lloyd's iterations, and
+hmm._chains draws one sampler step per forecast step, all on arrays so
+small that numpy's per-call cost, not the arithmetic, sets their speed.
+np.sum and np.mean add a Python wrapper around the ufunc reduction they
+run (np.sum took about twice np.add.reduce's time on one fit-long row),
+and argmin over the first axis of k-means' (k, N) table copies the table.
+This scan fails when a sum, mean or argmin call, as a numpy function or as
+an array method, sits inside a for or while loop of any of these
+functions, so that the cost cannot creep back unseen.
 """
 
 import ast
@@ -18,7 +19,8 @@ import pathlib
 import graphhmm
 
 PACKAGE = pathlib.Path(graphhmm.__file__).resolve().parent
-LOOPS = {("kernels.py", "_scaled_posteriors"), ("training.py", "_kmeans"), ("hmm.py", "_chains")}
+LOOPS = {("kernels.py", "_scaled_posteriors"), ("kernels.py", "_tree_product"),
+         ("training.py", "_kmeans"), ("hmm.py", "_chains")}
 WRAPPERS = {"sum", "mean", "argmin"}
 
 
