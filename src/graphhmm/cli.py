@@ -103,7 +103,7 @@ def _cmd_score(args) -> int:
     model, metadata = io.load_model(args.model)
     dataset = io.load_dataset(args.data)
     check_dim(model, dataset)  # before the stats, which hold the model's dimension
-    if metadata.get("standardization"):
+    if metadata.get("standardization") is not None:  # train writes null without --standardize
         dataset = io.apply_standardization(dataset, metadata["standardization"])
     scored = score_dataset(model, dataset)
     if args.scores_out:
@@ -147,13 +147,14 @@ def _cmd_forecast(args) -> int:
     model, metadata = io.load_model(args.model)
     prefix_ds = io.load_dataset(args.prefix_file)
     check_dim(model, prefix_ds)  # before the stats, which hold the model's dimension
+    del prefix_ds.items[1:]  # only the first record is forecast, so only it is standardized
     stats = metadata.get("standardization")
-    if stats:
+    if stats is not None:  # train writes null without --standardize
         prefix_ds = io.apply_standardization(prefix_ds, stats)
     item = prefix_ds.items[0]
     node = args.node if args.node is not None else item.node
     mean = forecast_mean(model, item.seq, node, args.horizon, args.samples, args.seed)
-    if stats:  # back to the data's units, with the stats that standardized the prefix
+    if stats is not None:  # back to the data's units, with the prefix's own stats
         shift, scale = io.mean_std(stats, item.node, model.dim)
         mean = mean * scale + shift
     header = ["step"] + [f"x{d + 1}" for d in range(mean.shape[1])]

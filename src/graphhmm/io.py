@@ -4,7 +4,7 @@ Every numeric field goes through one strict parser, _numbers: a JSON number
 or rectangular nested lists of them, never strings, booleans, null or
 objects. Header counts are JSON integers >= 1. Dataset records are checked
 once, by SequenceDataset, and a failure is reported as path:line:.
-Standardization stats are checked where they are applied.
+A standardization stats document is checked whole where it is applied.
 
 Every output file is written by _write from a JSON document or CSV table
 built whole, so one that fails to serialize leaves the target as it was;
@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .hmm import GaussianHmm
+from .hmm import GaussianHmm, _shown
 from .mixture import AffinityGraph, RecordError, SequenceDataset, SparseMixtureModel
 
 FORMAT_VERSION = 1
@@ -338,67 +338,78 @@ def standardization_stats(dataset: SequenceDataset, per_node: bool = False) -> d
         out = stats_of(dataset.frames(), "in the pooled data")
         out["per_node"] = False
         return out
-    nodes = sorted({item.node for item in dataset.items})
-    per = {}
-    for node in nodes:
-        frames = np.concatenate([item.seq for item in dataset.items if item.node == node])
-        per[str(node)] = stats_of(frames, f"at node {node}")
+    groups = {}
+    for item in dataset.items:  # one pass, keeping record order within each node
+        groups.setdefault(item.node, []).append(item.seq)
+    per = {str(node): stats_of(np.concatenate(groups[node]), f"at node {node}")
+           for node in sorted(groups)}
     return {"per_node": True, "nodes": per}
+
+
+def _stats_table(stats, dim: int) -> dict:
+    """Every (mean, std) pair of a stats document, checked whole against dim:
+    the pooled pair under None, or, when 'per_node' (absent, true or false) is
+    true, one pair per key of 'nodes'. Each pair holds dim numbers; mean is
+    finite and std finite and > 0."""
+    if not isinstance(stats, dict):
+        raise ValueError("standardization stats must be a JSON object")
+    per_node = stats.get("per_node", False)
+    if type(per_node) is not bool:
+        raise ValueError(f"standardization stats: 'per_node' must be true or false, "
+                         f"got {_shown(per_node)}")
+    if per_node and not isinstance(stats.get("nodes"), dict):
+        raise ValueError("per-node standardization stats need a 'nodes' object")
+    table = {}
+    for key, entry in stats["nodes"].items() if per_node else [(None, stats)]:
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError("must be a JSON object")
+            arrays = []
+            for name in ("mean", "std"):
+                if name not in entry:
+                    raise ValueError(f"missing '{name}'")
+                arr = _numbers(entry[name], name)
+                if arr.shape != (dim,):
+                    raise ValueError(f"'{name}' must hold {dim} number(s), one per feature, "
+                                     f"got shape {arr.shape}")
+                arrays.append(arr)
+            mean, std = arrays
+            if not np.all(np.isfinite(mean)):
+                raise ValueError("'mean' must be finite")
+            if not np.all(np.isfinite(std) & (std > 0.0)):
+                raise ValueError("'std' must be finite and > 0")
+        except ValueError as exc:
+            where = "" if key is None else f" for node {key}"
+            raise ValueError(f"standardization stats{where}: {exc}") from None
+        table[key] = mean, std
+    return table
+
+
+def _pair(table: dict, node: int) -> tuple:
+    """The (mean, std) in _stats_table's result that standardize a record at node."""
+    key = None if None in table else str(node)
+    if key not in table:
+        raise ValueError(f"stats file has no entry for node {node}")
+    return table[key]
 
 
 def mean_std(stats: dict, node: int, dim: int) -> tuple:
     """Checked (mean, std) that standardize a record at node: the pooled
-    stats, or its node's entry when the stats are per node.
-
-    Both hold dim numbers; mean is finite and std finite and > 0.
-    """
-    if not stats.get("per_node"):
-        entry, where = stats, "standardization stats"
-    elif str(node) in stats["nodes"]:
-        entry, where = stats["nodes"][str(node)], f"standardization stats for node {node}"
-    else:
-        raise ValueError(f"stats file has no entry for node {node}")
-    try:
-        if not isinstance(entry, dict):
-            raise ValueError("must be a JSON object")
-        arrays = []
-        for key in ("mean", "std"):
-            if key not in entry:
-                raise ValueError(f"missing '{key}'")
-            arr = _numbers(entry[key], key)
-            if arr.shape != (dim,):
-                raise ValueError(f"'{key}' must hold {dim} number(s), one per feature, "
-                                 f"got shape {arr.shape}")
-            arrays.append(arr)
-        mean, std = arrays
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("'mean' must be finite")
-        if not np.all(np.isfinite(std) & (std > 0.0)):
-            raise ValueError("'std' must be finite and > 0")
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    return mean, std
+    stats, or its node's entry when the stats are per node."""
+    return _pair(_stats_table(stats, dim), node)
 
 
 def apply_standardization(dataset: SequenceDataset, stats: dict) -> SequenceDataset:
     """(x - mean) / std per record, with the pooled stats or those of its node.
 
-    The stats are checked here, against the dataset's dimension, whether they
-    come from a stats file or from a model's metadata. The records were
-    checked once, so only the new values are, for overflow.
+    The whole stats document is checked here, against the dataset's dimension,
+    whether it comes from a stats file or from a model's metadata. The records
+    were checked once, so only the new values are, for overflow.
     """
-    if not isinstance(stats, dict):
-        raise ValueError("standardization stats must be a JSON object")
-    per_node = bool(stats.get("per_node"))
-    if per_node and not isinstance(stats.get("nodes"), dict):
-        raise ValueError("per-node standardization stats need a 'nodes' object")
-    checked = {}
+    table = _stats_table(stats, dataset.dim)
     items = []
     for i, item in enumerate(dataset.items):
-        key = item.node if per_node else None  # pooled stats are checked once
-        if key not in checked:
-            checked[key] = mean_std(stats, item.node, dataset.dim)
-        mean, std = checked[key]
+        mean, std = _pair(table, item.node)
         with np.errstate(over="ignore"):  # an overflow is refused just below
             seq = (item.seq - mean) / std
         if not np.all(np.isfinite(seq)):

@@ -500,6 +500,58 @@ class TestStatsChecks:
         assert re.search(message, err) and not scores.exists()
 
 
+class TestModelStats:
+    """A model is unstandardized only when metadata.standardization is missing
+    or null, as train writes it; any other value is read as stats."""
+
+    @staticmethod
+    def write_model(path, stats):
+        write_spec_model(path, [[1.0]], [0.0])
+        doc = json.loads(path.read_text())
+        doc["metadata"]["standardization"] = stats
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("command", ["score", "forecast"])
+    @pytest.mark.parametrize("stats", [{}, False, 0, [], ""],
+                             ids=["object", "false", "zero", "list", "string"])
+    def test_empty_stats_are_refused(self, tmp_path, capsys, command, stats):
+        model, data, out = tmp_path / "m.json", tmp_path / "d.jsonl", tmp_path / "out.csv"
+        self.write_model(model, stats)
+        io.save_dataset(SequenceDataset([(1, [[1.0], [2.0]])]), str(data))
+        args = {"score": ["--data", str(data), "--scores-out", str(out)],
+                "forecast": ["--prefix-file", str(data), "--out", str(out)]}
+        assert main([command, "--model", str(model)] + args[command]) == 1
+        assert capsys.readouterr().err.startswith("error: standardization stats")
+        assert not out.exists()
+
+    def test_null_stats_score_the_raw_data(self, tmp_path):
+        model, data, out = tmp_path / "m.json", tmp_path / "d.jsonl", tmp_path / "s.csv"
+        self.write_model(model, None)
+        io.save_dataset(SequenceDataset([(1, [[1.0], [2.0]]), (1, [[9.0]])]), str(data))
+        assert main(["score", "--model", str(model), "--data", str(data),
+                     "--scores-out", str(out)]) == 0
+        expected = score_dataset(io.load_model(str(model))[0], io.load_dataset(str(data)))
+        assert [float(row[2]) for row in read_csv_rows(out)[1:]] \
+            == [s.avg_log_likelihood for s in expected]
+
+    def test_forecast_standardizes_only_its_record(self, tmp_path, capsys):
+        # the second record overflows under the stats, but it is not forecast
+        model, prefix, out = tmp_path / "m.json", tmp_path / "p.jsonl", tmp_path / "f.csv"
+        self.write_model(model, {"mean": [1.0], "std": [0.5], "per_node": False})
+        io.save_dataset(SequenceDataset([(1, [[1.2], [1.4]]), (1, [[1.7e308]])]), str(prefix))
+        assert main(["forecast", "--model", str(model), "--prefix-file", str(prefix),
+                     "--horizon", "3", "--samples", "20", "--seed", "4",
+                     "--out", str(out)]) == 0
+        seq = (np.array([[1.2], [1.4]]) - 1.0) / 0.5
+        expected = forecast_mean(io.load_model(str(model))[0], seq, 1, 3, 20, 4) * 0.5 + 1.0
+        assert [[float(v) for v in r[1:]] for r in read_csv_rows(out)[1:]] == expected.tolist()
+        io.save_dataset(SequenceDataset([(1, [[1.7e308]]), (1, [[1.2]])]), str(prefix))
+        capsys.readouterr()
+        assert main(["forecast", "--model", str(model), "--prefix-file", str(prefix),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: item 0: sequence contains non-finite values\n"
+
+
 class TestExitCodesAndEnv:
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:

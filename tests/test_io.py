@@ -492,3 +492,54 @@ class TestStandardization:
             apply_standardization(data, [1.0])
         with pytest.raises(ValueError, match="need a 'nodes' object"):
             apply_standardization(data, {"per_node": True, "nodes": [1]})
+
+
+class TestOneStatsReader:
+    """The whole stats document is checked where it is applied."""
+
+    @pytest.mark.parametrize("flag", ["no", "false", 1, None],
+                             ids=["no", "false-string", "one", "null"])
+    def test_per_node_must_be_a_boolean(self, flag):
+        data = SequenceDataset([(1, np.zeros((2, 1)))])
+        stats = {"per_node": flag, "mean": [0.0], "std": [1.0], "nodes": {}}
+        with pytest.raises(ValueError, match="standardization stats: 'per_node' must be "
+                                             "true or false, got "):
+            apply_standardization(data, stats)
+
+    @pytest.mark.parametrize("stats", [
+        {"mean": [1.0], "std": [2.0]},
+        {"mean": [1.0], "std": [2.0], "per_node": False},
+        {"per_node": True, "nodes": {"1": {"mean": [1.0], "std": [2.0]}}},
+    ], ids=["absent", "false", "true"])
+    def test_per_node_may_be_absent_true_or_false(self, stats):
+        data = SequenceDataset([(1, np.array([[3.0], [5.0]]))])
+        out = apply_standardization(data, stats)
+        np.testing.assert_array_equal(out.items[0].seq, [[1.0], [2.0]])
+
+    def test_entry_of_a_node_without_records_is_checked(self):
+        data = SequenceDataset([(1, np.array([[0.0], [1.0]])), (2, np.array([[1.0], [3.0]]))])
+        stats = standardization_stats(data, per_node=True)
+        stats["nodes"]["3"] = {"mean": "x"}
+        with pytest.raises(ValueError, match="standardization stats for node 3: 'mean' "
+                                             "must contain only numbers"):
+            apply_standardization(data, stats)
+        with pytest.raises(ValueError, match="standardization stats for node 3: "):
+            io.mean_std(stats, 1, 1)
+
+    def test_mean_std_shares_the_missing_node_rule(self):
+        stats = {"per_node": True, "nodes": {"1": {"mean": [0.0], "std": [1.0]}}}
+        with pytest.raises(ValueError, match="^stats file has no entry for node 2$"):
+            io.mean_std(stats, 2, 1)
+        mean, std = io.mean_std(stats, 1, 1)
+        assert mean.tolist() == [0.0] and std.tolist() == [1.0]
+
+    def test_per_node_stats_keep_record_order_within_a_node(self):
+        rng = np.random.default_rng(18)
+        data = SequenceDataset([(3 - i % 3, rng.normal(size=(5 + i, 2)) * 1e3)
+                                for i in range(9)])
+        stats = standardization_stats(data, per_node=True)
+        assert list(stats["nodes"]) == ["1", "2", "3"]
+        for node in (1, 2, 3):
+            alone = SequenceDataset([item for item in data.items if item.node == node])
+            pooled = standardization_stats(alone)
+            assert stats["nodes"][str(node)] == {"mean": pooled["mean"], "std": pooled["std"]}
