@@ -2,7 +2,8 @@
 
 Reads a JSON grid file in which each training knob is either a single value
 or a list of values to sweep; the cartesian product of all list-valued knobs
-is trained and scored on a validation set. Example grid:
+is trained and scored on a validation set. A TrainConfig knob the grid omits
+takes TrainConfig's default, as `graphhmm train` does. Example grid:
 
     {
       "num_components": [2, 4],
@@ -37,8 +38,6 @@ from graphhmm.training import InitSpec, TrainConfig, fit
 
 KNOBS = ("num_components", "num_states", "lam", "outer_iters", "inner_iters",
          "learning_rate", "rng_seed")  # InitSpec's two, then TrainConfig's
-DEFAULTS = {"lam": 0.0, "outer_iters": 50, "inner_iters": 100,
-            "learning_rate": 0.01, "rng_seed": 0}
 
 
 def load_grid(path):
@@ -52,7 +51,8 @@ def load_grid(path):
                          f"allowed: {sorted(KNOBS)}")
     axes = []
     for key in KNOBS:
-        values = grid.get(key, DEFAULTS.get(key))
+        # an omitted TrainConfig knob takes its default; InitSpec's two have none
+        values = grid.get(key, getattr(TrainConfig, key, None))
         if not isinstance(values, list):
             values = [values]
         if not values:

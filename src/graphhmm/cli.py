@@ -224,12 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--graph", help="affinity graph JSON; omit to train without the graph term")
     _add(p, "--components", required=True, type=int, help="number of shared HMM components")
     _add(p, "--states", required=True, type=int, help="states per component")
-    _add(p, "--lambda", type=float, default=0.0, dest="lam",
+    _add(p, "--lambda", type=float, default=TrainConfig.lam, dest="lam",
          help="graph regularization strength")
-    _add(p, "--outer-iters", type=int, default=100, help="max EM iterations")
-    _add(p, "--inner-iters", type=int, default=100, help="score-update iterations per M-step")
-    _add(p, "--lr", type=float, default=1e-3, help="score-update learning rate")
-    _add(p, "--seed", type=int, default=0, help="training seed")
+    _add(p, "--outer-iters", type=int, default=TrainConfig.outer_iters, help="max EM iterations")
+    _add(p, "--inner-iters", type=int, default=TrainConfig.inner_iters,
+         help="score-update iterations per M-step")
+    _add(p, "--lr", type=float, default=TrainConfig.learning_rate,
+         help="score-update learning rate")
+    _add(p, "--seed", type=int, default=TrainConfig.rng_seed, help="training seed")
     _add(p, "--standardize", flag_only=True,
          help="standardize features before training and store the stats in the model")
     _add(p, "--normalize-graph", flag_only=True,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .hmm import GaussianHmm, _cdf, _chains, _draw, check_count, validate_sequence
 from .mixture import SparseMixtureModel, _end_rows, _live_pairs, check_node, mixture_log_likelihood
 
@@ -46,15 +45,14 @@ def condition(model: SparseMixtureModel, prefix: np.ndarray, node: int) -> Poste
     The last forward row of each live component gives both: the end state
     posterior is exp(log_alpha[T] - log_like), as the backward table is
     exactly zero at t = T. The weights are the live-pair driver's M-wide
-    log-weight row, the initials read from its blocks. The node's live
-    components form one kernels.forward_ends block, so a short prefix costs
-    about ceil(log2 T) stacked matrix products, not T forward steps.
+    log-weight row less its log-likelihood, the initials read from its blocks.
+    The node's live components form one kernels.forward_ends block, so a short
+    prefix costs about ceil(log2 T) stacked matrix products, not T forward steps.
     """
     node = check_node(node, model.num_nodes)
     prefix = validate_sequence(prefix, model.dim)
-    log_w, blocks = _live_pairs(model.components, model.alpha[node - 1:node], [prefix],
-                                _end_rows)
-    total = float(kernels.logsumexp(log_w[0]))
+    log_w, (total,), blocks = _live_pairs(model.components, model.alpha[node - 1:node],
+                                          [prefix], _end_rows)
     if total == -np.inf:
         raise ValueError("prefix has zero likelihood under every component")
     weights = np.exp(log_w[0] - total)

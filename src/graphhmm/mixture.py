@@ -11,7 +11,7 @@ component indices returned to callers (sampling traces, cluster labels)
 are 1-based as well. The dictionary is one GaussianHmm stack with a leading
 component axis. One driver, _live_pairs, runs the E-step, forecast conditioning
 and dataset and single-sequence scoring (predictive scoring is the latter on the
-conditioned mixture) over live (sequence, component) pairs.
+conditioned mixture) over live pairs, and sums each record's likelihood for them.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .hmm import (GaussianHmm, _cdf, _draw, check_count, check_rows_normalized,
-                  gaussian_log_densities, sample, validate_sequence)
+                  gaussian_log_densities, log_params, sample, validate_sequence)
 
 # Live pairs per block: one recursion step then covers about BLOCK_CELLS
 # (pair, state, state) cells, whatever the state count.
@@ -309,25 +309,22 @@ def _live_pair_blocks(weights: np.ndarray, seqs: list, num_states: int):
 
 
 def _live_pairs(components: GaussianHmm, weights: np.ndarray, seqs: list, kernel):
-    """Run kernel on every block of live pairs of weights (N, M); return (log_w, blocks).
+    """Run kernel on every block of live pairs of weights (N, M); return (log_w, ll, blocks).
 
-    Each block of _live_pair_blocks takes one kernel(log_pi, log_a, log_obs)
-    call on its pairs' components' initial and transition rows and
-    pair_log_densities. The kernel's last output is each pair's log-likelihood
-    ll, so log_w[i, m] = log weights[i, m] + ll for a live pair and -inf for
-    any other. blocks holds (seq, comp, kernel output) per block.
+    Each block of _live_pair_blocks takes one kernel(log_pi, log_a, log_obs) call on
+    its pairs' rows of the dictionary's log_params, taken once, and pair_log_densities.
+    The kernel's last output is each pair's log-likelihood, so log_w[i, m] =
+    log weights[i, m] + that for a live pair and -inf for any other, and ll[i],
+    the logsumexp of log_w[i], is record i's. blocks holds (seq, comp, kernel output).
     """
+    log_pi, log_a = log_params(components)
     log_w = np.full(weights.shape, -np.inf)
     blocks = []
     for seq, comp in _live_pair_blocks(weights, seqs, components.num_states):
-        # gather only the two parameter arrays the kernel reads, not components[comp]'s four
-        with np.errstate(divide="ignore"):
-            log_a = np.log(components.transition[comp])
-            log_pi = np.log(components.initial[comp])
-        out = kernel(log_pi, log_a, pair_log_densities(components, seqs, seq, comp))
+        out = kernel(log_pi[comp], log_a[comp], pair_log_densities(components, seqs, seq, comp))
         log_w[seq, comp] = np.log(weights[seq, comp]) + out[-1]
         blocks.append((seq, comp, out))
-    return log_w, blocks
+    return log_w, kernels.logsumexp(log_w, axis=1), blocks
 
 
 def _end_rows(log_pi, log_a, log_obs):
@@ -361,9 +358,8 @@ def mixture_log_likelihoods(model: SparseMixtureModel, dataset: SequenceDataset)
     likelihood under every live component gets -inf.
     """
     weights = model.alpha[_checked_nodes(model, dataset) - 1]
-    log_w, _ = _live_pairs(model.components, weights, [item.seq for item in dataset.items],
-                           _end_rows)
-    return kernels.logsumexp(log_w, axis=1)
+    return _live_pairs(model.components, weights, [item.seq for item in dataset.items],
+                       _end_rows)[1]
 
 
 def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int) -> float:
@@ -374,8 +370,8 @@ def mixture_log_likelihood(model: SparseMixtureModel, seq: np.ndarray, node: int
     """
     node = check_node(node, model.num_nodes)
     seq = validate_sequence(seq, model.dim)
-    log_w, _ = _live_pairs(model.components, model.alpha[node - 1:node], [seq], _end_rows)
-    return float(kernels.logsumexp(log_w[0]))
+    _, ll, _ = _live_pairs(model.components, model.alpha[node - 1:node], [seq], _end_rows)
+    return float(ll[0])
 
 
 def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> MixtureSufficientStats:
@@ -390,20 +386,19 @@ def mixture_posteriors(model: SparseMixtureModel, dataset: SequenceDataset) -> M
     zero likelihood under every live component raises ValueError.
     """
     nodes = _checked_nodes(model, dataset)
-    log_w, blocks = _live_pairs(model.components, model.alpha[nodes - 1],
-                                [item.seq for item in dataset.items], kernels.pair_posteriors)
-    seq_ll = kernels.logsumexp(log_w, axis=1)
-    zero = np.flatnonzero(seq_ll == -np.inf)
+    log_w, ll, blocks = _live_pairs(model.components, model.alpha[nodes - 1],
+                                    [item.seq for item in dataset.items], kernels.pair_posteriors)
+    zero = np.flatnonzero(ll == -np.inf)
     if zero.size:
         i = int(zero[0])
         raise ValueError(f"record {i} (node {nodes[i]}) has zero likelihood under every "
                          f"live component")
-    eta = np.exp(log_w - seq_ll[:, None])
+    eta = np.exp(log_w - ll[:, None])
     counts = np.bincount(nodes - 1, minlength=model.num_nodes)
     blocks = [PairBlock(seq, comp, gamma, transitions)
               for seq, comp, (gamma, transitions, _) in blocks]
     return MixtureSufficientStats(node_counts=counts, eta=eta, blocks=blocks,
-                                  nodes=nodes, log_likelihoods=seq_ll)
+                                  nodes=nodes, log_likelihoods=ll)
 
 
 def regularizer_value(alpha: np.ndarray, graph: AffinityGraph) -> float:

@@ -38,6 +38,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # A relative objective improvement below this counts toward the plateau.
 PLATEAU_TOL = 1e-6
+KMEANS_ITERS = 100  # Lloyd iterations at most when k-means places the initial means
 _ITERATIONS = "an integer iteration count"
 
 
@@ -334,8 +335,7 @@ def _kmeans_plus_plus(frames: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centers
 
 
-def _kmeans(frames: np.ndarray, k: int, rng: np.random.Generator,
-            max_iters: int = 100) -> np.ndarray:
+def _kmeans(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Lloyd's algorithm from k-means++ seeds; returns the (k, D) centres.
 
     A (k, N) table holds each centre's squared distances, added up one
@@ -362,7 +362,7 @@ def _kmeans(frames: np.ndarray, k: int, rng: np.random.Generator,
     tied = np.empty(n, dtype=bool)
     labels, new_labels = None, np.zeros(n, dtype=np.min_scalar_type(k - 1))
     stale = range(k)  # centres whose table rows are out of date
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         for j in stale:
             row = np.subtract(columns[0], centers[j, 0], out=d2[j])
             row *= row
@@ -501,35 +501,42 @@ def baseline_state_counts(num_components: int, num_states: int, num_nodes: int):
     return pooled, per_node
 
 
+def _fit_one_hmm(dataset: SequenceDataset, items: list, config: TrainConfig, num_states: int):
+    """fit() of items relabelled onto node 1, not checked again; its HMM is model.components[0]."""
+    pooled = copy.copy(dataset)
+    pooled.items = [item._replace(node=1) for item in items]
+    return fit(pooled, None, config, InitSpec(1, num_states, 1))
+
+
 def fit_single_hmm(dataset: SequenceDataset, config: TrainConfig, num_states: int,
                    num_nodes: int = None) -> FitResult:
     """Pooled baseline: one HMM for all nodes, exposed as a mixture whose
     every node row is the one-hot on that single component."""
     k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
     check_node(dataset.max_node, k)
-    pooled = copy.copy(dataset)  # the records were checked once; relabel, do not recheck
-    pooled.items = [item._replace(node=1) for item in dataset.items]
-    result = fit(pooled, None, config, InitSpec(1, num_states, 1))
-    single = result.model.components[0]
-    model = SparseMixtureModel([single], np.ones((k, 1)))
+    result = _fit_one_hmm(dataset, dataset.items, config, num_states)
+    model = SparseMixtureModel([result.model.components[0]], np.ones((k, 1)))
     return replace(result, model=model)
 
 
 def fit_per_node(dataset: SequenceDataset, config: TrainConfig, num_states: int,
                  num_nodes: int = None) -> FitResult:
-    """Per-node baseline: an independent HMM per node, exposed as a mixture
-    with identity mixing (node k always uses component k)."""
+    """Per-node baseline: an independent HMM per node, exposed as a mixture with identity
+    mixing (node k always uses component k); node k's errors and warnings start "node k: "."""
     k = dataset.max_node if num_nodes is None else check_count(num_nodes, "num_nodes")
     check_node(dataset.max_node, k)
+    num_states = check_count(num_states, "num_states")
     components, objectives, warnings = [], [], []
     for node in range(1, k + 1):
-        sub = copy.copy(dataset)
-        sub.items = [item._replace(node=1) for item in dataset.items if item.node == node]
-        if not sub.items:
-            raise ValueError(f"node {node}: per-node baseline needs at least one sequence")
-        result = fit(sub, None, config, InitSpec(1, num_states, 1))
+        items = [item for item in dataset.items if item.node == node]
+        try:
+            if not items:
+                raise ValueError("per-node baseline needs at least one sequence")
+            result = _fit_one_hmm(dataset, items, config, num_states)
+        except ValueError as exc:
+            raise ValueError(f"node {node}: {exc}") from None
         components.append(result.model.components[0])
         objectives.append(result.objectives)
-        warnings.extend(result.warnings)
+        warnings.extend(f"node {node}: {message}" for message in result.warnings)
     model = SparseMixtureModel(components, np.eye(k))
     return FitResult(model=model, objectives=objectives, mode="mhmm", warnings=warnings)

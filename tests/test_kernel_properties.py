@@ -256,8 +256,8 @@ def test_block_posteriors_match_path_enumeration(form, kind, s_count, t_len, b_c
     pairs = np.arange(b_count)
     floor = kernels.TREE_FLOOR if form == "scaled" else np.inf
     with mock.patch.object(kernels, "TREE_FLOOR", floor):  # pair b is seqs[b] under comp b
-        log_w, blocks = mixture._live_pairs(components, np.eye(b_count), seqs,
-                                            kernels.pair_posteriors)
+        log_w, _, blocks = mixture._live_pairs(components, np.eye(b_count), seqs,
+                                               kernels.pair_posteriors)
     [(seq, comp, (gamma, transitions, ll))] = blocks
     np.testing.assert_array_equal(seq, pairs)
     np.testing.assert_array_equal(comp, pairs)

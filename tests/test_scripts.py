@@ -78,6 +78,21 @@ class TestGridSweep:
         for key in ("lam", "sparsity", "mean_avg_ll"):
             assert row[key] == io.format_float(float(row[key]))
 
+    def test_omitted_knobs_take_train_config_defaults(self, grid_sweep, sweep_inputs,
+                                                      tmp_path):
+        # the same defaults as graphhmm train: outer_iters 100, learning_rate 1e-3
+        train_path, _ = sweep_inputs
+        grid_path = str(tmp_path / "grid.json")
+        with open(grid_path, "w", encoding="utf-8") as fh:
+            json.dump({"num_components": 1, "num_states": 2}, fh)
+        out_path = str(tmp_path / "results.csv")
+        assert grid_sweep.main(["--train", train_path, "--val", train_path,
+                                "--grid", grid_path, "--out", out_path]) == 0
+        header, row = pathlib.Path(out_path).read_text(encoding="utf-8").splitlines()
+        row = dict(zip(header.split(","), row.split(",")))
+        assert (row["outer_iters"], row["learning_rate"]) == ("100", "0.001")
+        assert (row["lam"], row["inner_iters"], row["rng_seed"]) == ("0.0", "100", "0")
+
     def test_training_warnings_go_to_stderr(self, grid_sweep, tmp_path, capsys):
         # node 2 has no sequences, so every EM iteration of each fit warns
         rng = np.random.default_rng(5)

@@ -439,15 +439,17 @@ class TestInitialization:
             got = _kmeans(frames, k, np.random.default_rng(case))
             seeds = _kmeans_plus_plus(frames, k, np.random.default_rng(case))
             assert np.array_equal(got, self.kmeans_oracle(frames, seeds))
-        # runs cut short by max_iters, on overlapping clusters that take
+        # runs cut short by KMEANS_ITERS, on overlapping clusters that take
         # more than 8 Lloyd iterations to settle
         frames = rng.normal(size=(3000, 3))
         full = self.kmeans_oracle(frames, _kmeans_plus_plus(frames, 8, np.random.default_rng(0)))
         for max_iters in (1, 2, 3, 8):
-            got = _kmeans(frames, 8, np.random.default_rng(0), max_iters=max_iters)
+            monkeypatch.setattr(training, "KMEANS_ITERS", max_iters)
+            got = _kmeans(frames, 8, np.random.default_rng(0))
             seeds = _kmeans_plus_plus(frames, 8, np.random.default_rng(0))
             expected = self.kmeans_oracle(frames, seeds, max_iters=max_iters)
             assert np.array_equal(got, expected) and not np.array_equal(got, full)
+        monkeypatch.undo()
         # a cluster that empties mid-run: from centres 9, 0, 0 the frames 4, 1,
         # 4, 0 go to centre 1 (first of the tie) and 5 to centre 0; then 4, 4
         # and 5 go to centre 0 at 5 and 1, 0 to centre 2 at 0, which empties
@@ -480,7 +482,8 @@ class TestInitialization:
                 frames = np.round(frames, -1)
             elif k == 3:
                 frames[:] = frames[0]
-            got = _kmeans(frames, k, np.random.default_rng(k), max_iters=max_iters)
+            monkeypatch.setattr(training, "KMEANS_ITERS", max_iters)
+            got = _kmeans(frames, k, np.random.default_rng(k))
             seeds = _kmeans_plus_plus(frames, k, np.random.default_rng(k))
             assert np.array_equal(got, self.kmeans_oracle(frames, seeds, max_iters=max_iters)), k
             if dim == 1 and k == 4:
@@ -656,6 +659,32 @@ class TestBaselines:
         data = small_dataset(rng, [1, 3], [8, 8])
         with pytest.raises(ValueError, match="node 2"):
             fit_per_node(data, TrainConfig(outer_iters=1), num_states=2)
+
+    def test_per_node_errors_name_the_node(self):
+        rng = np.random.default_rng(26)
+        data = small_dataset(rng, [1, 2, 3], [20, 3, 20])
+        with pytest.raises(ValueError, match=r"^node 2: need at least 5 pooled frames"):
+            fit_per_node(data, TrainConfig(outer_iters=1), num_states=5)
+
+    def test_per_node_warnings_name_the_node(self, monkeypatch):
+        # node 2's fit places its first state 1e6 away from its data, so that
+        # state is never occupied and its fit warns about a dead state
+        rng = np.random.default_rng(27)
+        data = small_dataset(rng, [1, 2, 3], [20, 20, 20])
+        fits = []
+
+        def far_state_on_node_2(*args, **kwargs):
+            model = initialize_model(*args, **kwargs)
+            fits.append(model)
+            if len(fits) == 2:
+                model.components.means[0, 0] += 1e6
+            return model
+        monkeypatch.setattr(training, "initialize_model", far_state_on_node_2)
+        result = fit_per_node(data, TrainConfig(outer_iters=1), num_states=2)
+        assert len(fits) == 3
+        assert result.warnings and all(w.startswith("node 2: component 1: ")
+                                       for w in result.warnings)
+        assert any("emission states [1]" in w for w in result.warnings)
 
     def test_node_ids_above_num_nodes_are_refused(self):
         # both baselines and fit apply the one node-id rule to the dataset
