@@ -20,13 +20,16 @@ takes TrainConfig's default, as `graphhmm train` does. Example grid:
 
 Each row of the CSV records the knob values, the training mode, the final
 coefficient sparsity, and the mean per-timestep held-out log-likelihood;
-the best row by that metric is printed last. Each training warning goes to
-stderr as "warning: [i/n] <message>" for the i-th of n fits. Without --val
-the training set is scored instead (useful only for smoke runs, and flagged
-as such by a warning on stderr), so stdout holds only result lines.
+the best row by that metric is printed last. Each distinct training warning
+goes to stderr once, in the order it was first raised, as
+"warning: [i/n] <message>" for the i-th of n fits, ending " (N times)" when
+the fit raised it N > 1 times. Without --val the training set is scored
+instead (useful only for smoke runs, and flagged as such by a warning on
+stderr), so stdout holds only result lines.
 """
 
 import argparse
+import collections
 import itertools
 import sys
 
@@ -82,8 +85,9 @@ def run_sweep(combos, train, val, graph, out_path):
     rows = []
     for i, (config, init) in enumerate(combos, start=1):
         result = fit(train, graph if config.lam > 0.0 else None, config, init)
-        for msg in result.warnings:
-            print(f"warning: [{i}/{len(combos)}] {msg}", file=sys.stderr)
+        for msg, count in collections.Counter(result.warnings).items():  # first-seen order
+            times = f" ({count} times)" if count > 1 else ""
+            print(f"warning: [{i}/{len(combos)}] {msg}{times}", file=sys.stderr)
         checked = {**vars(init), **vars(config)}
         row = {key: checked[key] for key in KNOBS}
         row["mode"] = result.mode

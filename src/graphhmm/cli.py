@@ -7,6 +7,7 @@ usage errors.
 """
 
 import argparse
+import collections
 import os
 import sys
 
@@ -85,8 +86,8 @@ def _cmd_train(args) -> int:
     io.save_model(result.model, args.out, metadata)
     log_path = args.log_out if args.log_out else args.out + ".train.csv"
     io.save_csv(log_path, ["iteration", "objective"], enumerate(result.objectives))
-    for msg in result.warnings:
-        print(f"warning: {msg}", file=sys.stderr)
+    for msg, count in collections.Counter(result.warnings).items():  # first-seen order
+        print(f"warning: {msg}" + (f" ({count} times)" if count > 1 else ""), file=sys.stderr)
     print(f"wrote {args.out} ({result.mode}, {len(result.objectives) - 1} iterations, "
           f"final objective {result.objectives[-1]:.6f}); log: {log_path}")
     return 0
@@ -182,13 +183,16 @@ def _cmd_cluster(args) -> int:
 def _cmd_generate(args) -> int:
     check_count(args.num_seqs, "--num-seqs")
     check_count(args.length, "--length")
-    model, _ = io.load_model(args.spec)
+    model, metadata = io.load_model(args.spec)
+    stats = metadata.get("standardization")
     rng = np.random.default_rng(args.seed)
     items = []
     for node in range(1, model.num_nodes + 1):
+        if stats is not None:  # back to the data's units, as forecast maps its path
+            shift, scale = io.mean_std(stats, node, model.dim)
         for _ in range(args.num_seqs):
             seq = sample_from_node(model, node, args.length, rng)
-            items.append((node, seq, args.label))
+            items.append((node, seq if stats is None else seq * scale + shift, args.label))
     io.save_dataset(SequenceDataset(items), args.out)
     print(f"wrote {args.out} ({len(items)} sequences: {args.num_seqs} per node "
           f"x {model.num_nodes} nodes, length {args.length})")

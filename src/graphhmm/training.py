@@ -10,6 +10,11 @@ Two modes share one E-step and one component re-estimation routine:
   nodes and the rectifier produces exact zeros, so the learned rows are
   sparse.
 
+Every closed-form update (plain mode's mixing rows, and the components'
+initial, transition, mean and variance rows) is one rule, _updated: the
+ratio of sums over the responsibilities where its denominator is live, and
+the old row where it is not.
+
 Both step functions return an EmStep: the updated model, the step's warnings,
 and the objective at the parameters they were given (before the update):
 total data log-likelihood in plain mode, and mean data log-likelihood plus
@@ -135,16 +140,24 @@ def adam_ascent_step(state: AdamState, grad: np.ndarray, config: TrainConfig) ->
     return m_hat
 
 
+def _updated(old: np.ndarray, num: np.ndarray, den: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """A copy of old whose rows at the mask live are num[live] / den[live][:, None]."""
+    new = old.copy()
+    new[live] = num[live] / den[live][:, None]
+    return new
+
+
 def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
                            stats: MixtureSufficientStats, warnings: list) -> GaussianHmm:
     """Closed-form updates of initial/transition/means/variances, as one stack.
 
     The eta-weighted sums run over the E-step's blocks of live pairs, one
-    array expression per block. A component whose total responsibility is
-    below RESPONSIBILITY_EPS keeps all its parameters; within a live
-    component, a state whose occupancy denominator is that small keeps its
-    row; each such case appends a message to warnings. Variances are floored
-    after the update. Variance updates use the freshly updated means.
+    array expression per block, and each parameter is their ratio through
+    _updated under one of three masks: the live components (total
+    responsibility >= RESPONSIBILITY_EPS) and, within them, the transition
+    rows and the emission states whose occupancy reaches that bound. The rest
+    keep their values, with a message in warnings per kind and component.
+    Variances use the freshly updated means and are floored after the update.
     """
     m_count = model.num_components
     s_count, dim = model.num_states, model.dim
@@ -155,10 +168,10 @@ def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
     trans_den = np.zeros((m_count, s_count))
     occ = np.zeros((m_count, s_count))
     mean_num = np.zeros((m_count, s_count, dim))
-    block_seqs = []
-    for block in stats.blocks:
-        w = eta[block.seq, block.comp]
-        seqs = np.stack([dataset.items[i].seq for i in block.seq])
+    var_num = np.zeros((m_count, s_count, dim))
+    parts = [(block, eta[block.seq, block.comp],
+              np.stack([dataset.items[i].seq for i in block.seq])) for block in stats.blocks]
+    for block, w, seqs in parts:
         emit_gamma = block.gamma[:, 1:]
         np.add.at(pi_num, block.comp, w[:, None] * block.gamma[:, 0])
         np.add.at(trans_num, block.comp, w[:, None, None] * block.transitions)
@@ -166,43 +179,28 @@ def _reestimate_components(model: SparseMixtureModel, dataset: SequenceDataset,
         np.add.at(occ, block.comp, w[:, None] * emit_gamma.sum(axis=1))
         np.add.at(mean_num, block.comp,
                   w[:, None, None] * np.einsum("bts,btd->bsd", emit_gamma, seqs))
-        block_seqs.append(seqs)
     old = model.components
-    live_comp = comp_resp >= RESPONSIBILITY_EPS
-    dead_rows = live_comp[:, None] & (trans_den < RESPONSIBILITY_EPS)
-    dead_states = live_comp[:, None] & (occ < RESPONSIBILITY_EPS)
-    live_trans = live_comp[:, None] & ~dead_rows
-    live_emit = live_comp[:, None] & ~dead_states
-    means = old.means.copy()
-    means[live_emit] = mean_num[live_emit] / occ[live_emit, None]
-    var_num = np.zeros((m_count, s_count, dim))
-    for block, seqs in zip(stats.blocks, block_seqs):
-        w = eta[block.seq, block.comp]
+    live = comp_resp >= RESPONSIBILITY_EPS
+    rows = live[:, None] & (trans_den >= RESPONSIBILITY_EPS)
+    states = live[:, None] & (occ >= RESPONSIBILITY_EPS)
+    means = _updated(old.means, mean_num, occ, states)
+    for block, w, seqs in parts:
         np.add.at(var_num, block.comp,
                   w[:, None, None] * _weighted_square_deviations(
                       block.gamma[:, 1:], seqs, means[block.comp]))
-    initial = old.initial.copy()
-    initial[live_comp] = pi_num[live_comp] / comp_resp[live_comp, None]
-    transition = old.transition.copy()
-    transition[live_trans] = trans_num[live_trans] / trans_den[live_trans, None]
-    variances = old.variances.copy()
-    variances[live_emit] = var_num[live_emit] / occ[live_emit, None]
     # a no-op on unchanged entries, which are already validated >= the floor
-    variances = np.maximum(variances, VARIANCE_FLOOR)
-    for m in np.flatnonzero(~live_comp | dead_rows.any(axis=1) | dead_states.any(axis=1)):
-        if not live_comp[m]:
+    variances = np.maximum(_updated(old.variances, var_num, occ, states), VARIANCE_FLOOR)
+    for m in np.flatnonzero(~(live & rows.all(axis=1) & states.all(axis=1))):
+        if not live[m]:
             warnings.append(f"component {m + 1}: total responsibility below "
                             f"{RESPONSIBILITY_EPS:g}, parameters left unchanged")
             continue
-        if dead_rows[m].any():
-            warnings.append(f"component {m + 1}: transition rows "
-                            f"{np.flatnonzero(dead_rows[m]) + 1} have near-zero occupancy, "
-                            f"left unchanged")
-        if dead_states[m].any():
-            warnings.append(f"component {m + 1}: emission states "
-                            f"{np.flatnonzero(dead_states[m]) + 1} have near-zero occupancy, "
-                            f"left unchanged")
-    return GaussianHmm(initial, transition, means, variances)
+        for kept, what in ((~rows[m], "transition rows"), (~states[m], "emission states")):
+            if kept.any():
+                warnings.append(f"component {m + 1}: {what} {np.flatnonzero(kept) + 1} "
+                                f"have near-zero occupancy, left unchanged")
+    return GaussianHmm(_updated(old.initial, pi_num, comp_resp, live),
+                       _updated(old.transition, trans_num, trans_den, rows), means, variances)
 
 
 def _weighted_square_deviations(gamma: np.ndarray, seqs: np.ndarray,
@@ -257,9 +255,8 @@ def em_step_mhmm(model: SparseMixtureModel, dataset: SequenceDataset) -> EmStep:
     """
     stats = mixture_posteriors(model, dataset)
     objective = _objective(stats.log_likelihoods, model.alpha, None, 0.0)
-    alpha = model.alpha.copy()
     has_data = stats.node_counts > 0
-    alpha[has_data] = stats.eta_by_node[has_data] / stats.node_counts[has_data, None]
+    alpha = _updated(model.alpha, stats.eta_by_node, stats.node_counts, has_data)
     warnings = [f"node {k + 1}: no training sequences, mixing row left unchanged"
                 for k in np.flatnonzero(~has_data)]
     components = _reestimate_components(model, dataset, stats, warnings)

@@ -82,6 +82,35 @@ class TestGenerate:
         assert main(["generate", "--spec", str(spec), "--num-seqs", "0",
                      "--length", "3", "--out", str(tmp_path / "d.jsonl")]) == 1
 
+    @staticmethod
+    def generate(tmp_path, stats, name):
+        spec, out = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        write_spec_model(spec, [[0.5, 0.5], [0.2, 0.8]], [-1.0, 1.0])
+        doc = json.loads(spec.read_text())
+        doc["metadata"]["standardization"] = stats
+        spec.write_text(json.dumps(doc))
+        code = main(["generate", "--spec", str(spec), "--num-seqs", "3", "--length", "5",
+                     "--seed", "4", "--out", str(out)])
+        return code, out
+
+    def test_standardized_spec_samples_in_data_units(self, tmp_path):
+        code, raw = self.generate(tmp_path, None, "raw")
+        assert code == 0
+        code, out = self.generate(
+            tmp_path, {"mean": [100.0], "std": [5.0], "per_node": False}, "std")
+        assert code == 0
+        raw, data = io.load_dataset(str(raw)), io.load_dataset(str(out))
+        assert [item.node for item in data.items] == [item.node for item in raw.items]
+        for item, base in zip(data.items, raw.items):
+            assert np.array_equal(item.seq, base.seq * 5.0 + 100.0)
+
+    def test_node_without_stats_refused(self, tmp_path, capsys):
+        stats = {"per_node": True, "nodes": {"1": {"mean": [100.0], "std": [5.0]}}}
+        code, out = self.generate(tmp_path, stats, "std")
+        assert code == 1
+        assert capsys.readouterr().err == "error: stats file has no entry for node 2\n"
+        assert not out.exists()
+
 
 @pytest.fixture
 def small_corpus(tmp_path):
@@ -169,7 +198,7 @@ class TestTrain:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines() == [
-            "warning: node 2: no training sequences, mixing row left unchanged"] * 2
+            "warning: node 2: no training sequences, mixing row left unchanged (2 times)"]
 
     @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lr", "inf")])
     def test_non_finite_hyperparameter_fails_before_fit(self, small_corpus, monkeypatch,
